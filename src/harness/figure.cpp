@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -148,7 +149,9 @@ std::string json_escape(const std::string& s) {
 }  // namespace
 
 void Figure::write_json(std::ostream& os) const {
-  os << std::setprecision(12);
+  // Round-trip precision: two runs whose JSON compares equal produced
+  // bit-equal seconds, which is what `bench_compare.py --exact` gates on.
+  os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "{\n";
   os << "  \"id\": \"" << json_escape(id_) << "\",\n";
   os << "  \"title\": \"" << json_escape(title_) << "\",\n";

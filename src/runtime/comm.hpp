@@ -139,6 +139,10 @@ class Comm {
   /// Account for a local repack of `bytes` (advances the simulator's rank
   /// clock by the model's packing cost; no-op on the threads backend).
   virtual void charge_copy(std::size_t bytes) = 0;
+  /// Account for `count` repacks of `bytes` each, charged one after another
+  /// exactly as `count` charge_copy calls would be; lets a per-block packing
+  /// loop pay one virtual call instead of one per block.
+  virtual void charge_copies(std::size_t count, std::size_t bytes) = 0;
 
   /// Create a sub-communicator from `members`, an ordered, duplicate-free
   /// list of ranks *in this communicator* that must contain rank(). The

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <tuple>
+#include <type_traits>
 
 #include "sim/sim_comm.hpp"
 
@@ -161,6 +164,97 @@ Cluster::OpRec& Cluster::op_checked(const rt::Request& r) {
 }
 
 // --------------------------------------------------------------------------
+// Matching table
+// --------------------------------------------------------------------------
+
+std::size_t MatchQueueTable::hash(std::uint32_t comm, int rank,
+                                  int src) noexcept {
+  // Pack (rank, src) into 64 bits and fold in the comm id, then a
+  // multiply-xorshift finalizer so every key bit reaches the low bits used
+  // as the index.
+  const std::uint64_t rank_src =
+      (std::uint64_t{static_cast<std::uint32_t>(rank)} << 32) |
+      static_cast<std::uint32_t>(src);
+  std::uint64_t x = rank_src ^ (std::uint64_t{comm} * 0x9E3779B97F4A7C15ULL);
+  x ^= x >> 32;
+  x *= 0xD6E8FEB86659FD93ULL;
+  x ^= x >> 32;
+  return static_cast<std::size_t>(x);
+}
+
+MatchQueueTable::Fifo* MatchQueueTable::find(std::uint32_t comm, int rank,
+                                             int src) noexcept {
+  if (live_ == 0) {
+    return nullptr;
+  }
+  for (std::size_t i = hash(comm, rank, src) & mask_;; i = (i + 1) & mask_) {
+    Slot& s = slots_[i];
+    if (s.fifo.count == 0) {
+      return nullptr;
+    }
+    if (s.src == src && s.rank == rank && s.comm == comm) {
+      return &s.fifo;
+    }
+  }
+}
+
+MatchQueueTable::Fifo& MatchQueueTable::find_or_insert(std::uint32_t comm,
+                                                       int rank, int src) {
+  if (2 * (live_ + 1) > slots_.size()) {
+    grow();
+  }
+  for (std::size_t i = hash(comm, rank, src) & mask_;; i = (i + 1) & mask_) {
+    Slot& s = slots_[i];
+    if (s.fifo.count == 0) {
+      s = Slot{Fifo{}, comm, rank, src};
+      ++live_;
+      return s.fifo;
+    }
+    if (s.src == src && s.rank == rank && s.comm == comm) {
+      return s.fifo;
+    }
+  }
+}
+
+void MatchQueueTable::erase(Fifo& f) noexcept {
+  assert(f.count == 0);
+  // Slot is standard-layout with the Fifo first, so the two addresses are
+  // interconvertible.
+  static_assert(std::is_standard_layout_v<Slot> && offsetof(Slot, fifo) == 0);
+  std::size_t hole =
+      static_cast<std::size_t>(reinterpret_cast<Slot*>(&f) - slots_.data());
+  --live_;
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless that would move one before its home slot.
+  for (std::size_t j = (hole + 1) & mask_; slots_[j].fifo.count != 0;
+       j = (j + 1) & mask_) {
+    const Slot& s = slots_[j];
+    const std::size_t home = hash(s.comm, s.rank, s.src) & mask_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = s;
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+}
+
+void MatchQueueTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Slot{});
+  mask_ = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.fifo.count == 0) {
+      continue;
+    }
+    std::size_t i = hash(s.comm, s.rank, s.src) & mask_;
+    while (slots_[i].fifo.count != 0) {
+      i = (i + 1) & mask_;
+    }
+    slots_[i] = s;
+  }
+}
+
+// --------------------------------------------------------------------------
 // Matching
 // --------------------------------------------------------------------------
 
@@ -187,9 +281,14 @@ void Cluster::push_fifo(Fifo& f, std::uint32_t id, bool is_msg) {
   ++f.count;
 }
 
-std::uint32_t Cluster::match_posted(Endpoint& ep, int src, int tag) {
-  // Candidates: recvs posted for this specific source and for kAnySource;
-  // take the earlier-posted one whose tag matches.
+std::uint32_t Cluster::match_posted(std::uint32_t comm_id, int rank, int src,
+                                    int tag) {
+  Endpoint& ep = endpoint(comm_id, rank);
+  if (ep.posted_total == 0) {
+    return kNil;
+  }
+  // Candidates: the first tag-matching recv posted for this specific source
+  // and for kAnySource; the earlier-posted one wins.
   struct Candidate {
     Fifo* fifo = nullptr;
     std::uint32_t id = kNil;
@@ -198,13 +297,16 @@ std::uint32_t Cluster::match_posted(Endpoint& ep, int src, int tag) {
   };
   Candidate best;
 
-  auto scan = [&](Fifo& f) {
+  auto scan = [&](Fifo* f) {
+    if (f == nullptr) {
+      return;
+    }
     std::uint32_t prev = kNil;
-    for (std::uint32_t cur = f.head; cur != kNil; cur = ops_[cur].next) {
+    for (std::uint32_t cur = f->head; cur != kNil; cur = ops_[cur].next) {
       const OpRec& op = ops_[cur];
       if (op.tag == rt::kAnyTag || op.tag == tag) {
         if (best.id == kNil || op.post_seq < best.seq) {
-          best = Candidate{&f, cur, prev, op.post_seq};
+          best = Candidate{f, cur, prev, op.post_seq};
         }
         return;
       }
@@ -212,13 +314,9 @@ std::uint32_t Cluster::match_posted(Endpoint& ep, int src, int tag) {
     }
   };
 
-  auto it = ep.posted_by_src.find(src);
-  if (it != ep.posted_by_src.end()) {
-    scan(it->second);
-  }
-  auto any = ep.posted_by_src.find(rt::kAnySource);
-  if (any != ep.posted_by_src.end()) {
-    scan(any->second);
+  scan(posted_.find(comm_id, rank, src));
+  if (ep.posted_any != 0) {
+    scan(posted_.find(comm_id, rank, rt::kAnySource));
   }
   if (best.id == kNil) {
     return kNil;
@@ -233,18 +331,28 @@ std::uint32_t Cluster::match_posted(Endpoint& ep, int src, int tag) {
   if (f.tail == best.id) {
     f.tail = best.prev;
   }
-  --f.count;
+  OpRec& op = ops_[best.id];
+  if (op.match_src == rt::kAnySource) {
+    --ep.posted_any;
+  }
   --ep.posted_total;
-  ops_[best.id].in_posted = false;
+  op.in_posted = false;
+  if (--f.count == 0) {
+    posted_.erase(f);
+  }
   return best.id;
 }
 
-std::uint32_t Cluster::match_unexpected(Endpoint& ep, int src, int tag) {
-  auto match_in = [&](Fifo& f) -> std::pair<std::uint32_t, std::uint32_t> {
+std::uint32_t Cluster::match_unexpected(std::uint32_t comm_id, int rank,
+                                        int src, int tag) {
+  Endpoint& ep = endpoint(comm_id, rank);
+  if (ep.unexpected_total == 0) {
+    return kNil;
+  }
+  auto match_in = [&](const Fifo& f) -> std::pair<std::uint32_t, std::uint32_t> {
     std::uint32_t prev = kNil;
     for (std::uint32_t cur = f.head; cur != kNil; cur = msgs_[cur].next) {
-      const MsgRec& m = msgs_[cur];
-      if (tag == rt::kAnyTag || m.tag == tag) {
+      if (tag == rt::kAnyTag || msgs_[cur].tag == tag) {
         return {cur, prev};
       }
       prev = cur;
@@ -257,21 +365,29 @@ std::uint32_t Cluster::match_unexpected(Endpoint& ep, int src, int tag) {
   std::uint32_t prev = kNil;
 
   if (src != rt::kAnySource) {
-    auto it = ep.unexpected_by_src.find(src);
-    if (it == ep.unexpected_by_src.end()) {
+    fifo = unexpected_.find(comm_id, rank, src);
+    if (fifo == nullptr) {
       return kNil;
     }
-    auto [i, p] = match_in(it->second);
-    fifo = &it->second;
-    id = i;
-    prev = p;
+    std::tie(id, prev) = match_in(*fifo);
   } else {
-    // Wildcard source: earliest arrival across all source FIFOs.
+    // Wildcard source: the earliest arrival across this endpoint's source
+    // queues. Probes source by source and stops once every queued message
+    // has been seen, so the cost is at most one probe per communicator
+    // rank. No algorithm posts kAnySource receives; only tests and user
+    // code pay this.
+    const int size = static_cast<int>(comms_[comm_id].world_ranks.size());
+    std::uint32_t seen = 0;
     std::uint64_t best_seq = 0;
-    for (auto& [s, f] : ep.unexpected_by_src) {
-      auto [i, p] = match_in(f);
+    for (int s = 0; s < size && seen < ep.unexpected_total; ++s) {
+      Fifo* f = unexpected_.find(comm_id, rank, s);
+      if (f == nullptr) {
+        continue;
+      }
+      seen += f->count;
+      auto [i, p] = match_in(*f);
       if (i != kNil && (id == kNil || msgs_[i].arrival_seq < best_seq)) {
-        fifo = &f;
+        fifo = f;
         id = i;
         prev = p;
         best_seq = msgs_[i].arrival_seq;
@@ -289,8 +405,10 @@ std::uint32_t Cluster::match_unexpected(Endpoint& ep, int src, int tag) {
   if (fifo->tail == id) {
     fifo->tail = prev;
   }
-  --fifo->count;
   --ep.unexpected_total;
+  if (--fifo->count == 0) {
+    unexpected_.erase(*fifo);
+  }
   return id;
 }
 
@@ -411,7 +529,6 @@ rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
   const model::NetParams& net = cfg_.net;
   const double scale = entry.cost_scale;
   RankState& rs = ranks_[me_world];
-  Endpoint& ep = endpoint(comm_id, my_rank_in_comm);
 
   // Posting cost (queue insertion / descriptor setup).
   rs.clock += scale * net.match_base;
@@ -426,8 +543,10 @@ rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
   op.comm = comm_id;
   op.post_time = rs.clock;
 
-  const std::uint32_t scanned = ep.unexpected_total;
-  const std::uint32_t msg_id = match_unexpected(ep, src, tag);
+  const std::uint32_t scanned =
+      endpoint(comm_id, my_rank_in_comm).unexpected_total;
+  const std::uint32_t msg_id =
+      match_unexpected(comm_id, my_rank_in_comm, src, tag);
   if (msg_id != kNil) {
     MsgRec& m = msgs_[msg_id];
     if (m.rendezvous) {
@@ -442,10 +561,15 @@ rt::Request Cluster::irecv_impl(std::uint32_t comm_id, int my_rank_in_comm,
       complete_recv(op_id, msg_id, model::match_time(net, scanned));
     }
   } else {
+    Endpoint& ep = endpoint(comm_id, my_rank_in_comm);
     op.in_posted = true;
     op.post_seq = ep.next_post_seq++;
-    push_fifo(ep.posted_by_src[src], op_id, /*is_msg=*/false);
+    push_fifo(posted_.find_or_insert(comm_id, my_rank_in_comm, src), op_id,
+              /*is_msg=*/false);
     ++ep.posted_total;
+    if (src == rt::kAnySource) {
+      ++ep.posted_any;
+    }
   }
   return rt::Request{op_id, ops_[op_id].serial};
 }
@@ -592,13 +716,12 @@ void Cluster::on_eager_arrival(std::uint32_t msg_id) {
 
   Endpoint& ep = endpoint(m.comm, m.dst_in_comm);
   const std::uint32_t scanned = ep.posted_total;
-  const std::uint32_t op_id = match_posted(ep, m.src_in_comm, m.tag);
+  const std::uint32_t op_id =
+      match_posted(m.comm, m.dst_in_comm, m.src_in_comm, m.tag);
   if (op_id != kNil) {
     complete_recv(op_id, msg_id, model::match_time(cfg_.net, scanned));
   } else {
-    m.arrival_seq = ep.next_arrival_seq++;
-    push_fifo(ep.unexpected_by_src[m.src_in_comm], msg_id, /*is_msg=*/true);
-    ++ep.unexpected_total;
+    queue_unexpected(ep, msg_id);
   }
 }
 
@@ -608,7 +731,8 @@ void Cluster::on_rts_arrival(std::uint32_t msg_id) {
   Endpoint& ep = endpoint(m.comm, m.dst_in_comm);
   const double scale = comms_[m.comm].cost_scale;
   const std::uint32_t scanned = ep.posted_total;
-  const std::uint32_t op_id = match_posted(ep, m.src_in_comm, m.tag);
+  const std::uint32_t op_id =
+      match_posted(m.comm, m.dst_in_comm, m.src_in_comm, m.tag);
   if (op_id != kNil) {
     m.matched_recv = op_id;
     // The CTS leaves no earlier than both the RTS arrival and the logical
@@ -619,10 +743,16 @@ void Cluster::on_rts_arrival(std::uint32_t msg_id) {
         noise() * cfg_.net.at(m.level).alpha;
     start_rendezvous_transfer(msg_id, cts_at_sender);
   } else {
-    m.arrival_seq = ep.next_arrival_seq++;
-    push_fifo(ep.unexpected_by_src[m.src_in_comm], msg_id, /*is_msg=*/true);
-    ++ep.unexpected_total;
+    queue_unexpected(ep, msg_id);
   }
+}
+
+void Cluster::queue_unexpected(Endpoint& ep, std::uint32_t msg_id) {
+  MsgRec& m = msgs_[msg_id];
+  m.arrival_seq = ep.next_arrival_seq++;
+  push_fifo(unexpected_.find_or_insert(m.comm, m.dst_in_comm, m.src_in_comm),
+            msg_id, /*is_msg=*/true);
+  ++ep.unexpected_total;
 }
 
 void Cluster::start_rendezvous_transfer(std::uint32_t msg_id, double t_ready) {
@@ -736,8 +866,14 @@ std::uint32_t Cluster::subcomm_impl(std::uint32_t parent_id,
   return it->second;
 }
 
-void Cluster::charge_copy_impl(int world_rank, std::size_t bytes) {
-  ranks_[world_rank].clock += model::pack_time(cfg_.net, bytes);
+void Cluster::charge_copies_impl(int world_rank, std::size_t count,
+                                 std::size_t bytes) {
+  // One add per copy, in order: bit-identical to `count` single charges.
+  const double t = model::pack_time(cfg_.net, bytes);
+  double& clock = ranks_[world_rank].clock;
+  for (std::size_t i = 0; i < count; ++i) {
+    clock += t;
+  }
 }
 
 void Cluster::set_cost_scale_impl(std::uint32_t comm_id, double scale) {

@@ -18,7 +18,6 @@
 #include <random>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/cost.hpp"
@@ -55,6 +54,56 @@ struct ClusterConfig {
   std::uint64_t noise_seed = 1;
 };
 
+/// Open-addressing hash table from a matching key (communicator id, rank in
+/// that communicator, source rank or kAnySource) to the head/tail/count of an
+/// intrusive FIFO threaded through the Cluster's op or message pool.
+///
+/// The simulator's matching hot path: every message costs a few lookups, so
+/// the table is one flat power-of-two slot array with linear probing, and a
+/// slot is erased (backward-shift deletion, no tombstones) as soon as its
+/// FIFO empties. It therefore holds only live queues, and a run that drains
+/// ends with an empty table. Linking ids into a FIFO is the caller's job;
+/// the table only owns the slots. References returned by find/insert stay
+/// valid until the next insert or erase.
+class MatchQueueTable {
+ public:
+  struct Fifo {
+    std::uint32_t head = UINT32_MAX;
+    std::uint32_t tail = UINT32_MAX;
+    std::uint32_t count = 0;  ///< zero marks an empty slot
+  };
+
+  /// Slots allocated on the first insert; the table doubles when it would
+  /// pass half full.
+  static constexpr std::size_t kInitialSlots = 64;
+
+  /// The FIFO stored under the key, or nullptr when the queue is empty.
+  Fifo* find(std::uint32_t comm, int rank, int src) noexcept;
+  /// The FIFO under the key, inserting an empty one if absent. The caller
+  /// must push onto it before the next table operation.
+  Fifo& find_or_insert(std::uint32_t comm, int rank, int src);
+  /// Remove the slot holding `f`, which must have emptied (count == 0).
+  void erase(Fifo& f) noexcept;
+
+  std::size_t size() const noexcept { return live_; }
+  std::size_t slots() const noexcept { return slots_.size(); }
+
+ private:
+  struct Slot {
+    Fifo fifo;  // first member: erase() maps a Fifo& back to its slot
+    std::uint32_t comm = 0;
+    int rank = 0;
+    int src = 0;
+  };
+
+  static std::size_t hash(std::uint32_t comm, int rank, int src) noexcept;
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t live_ = 0;
+};
+
 class Cluster {
  public:
   explicit Cluster(ClusterConfig cfg);
@@ -87,6 +136,13 @@ class Cluster {
   std::uint64_t messages_sent() const noexcept { return stats_msgs_; }
   /// Total payload bytes injected so far.
   std::uint64_t bytes_sent() const noexcept { return stats_bytes_; }
+
+  /// The matching tables: live posted-receive and unexpected-message
+  /// queues. Both are empty whenever no operation is in flight.
+  const MatchQueueTable& posted_queues() const noexcept { return posted_; }
+  const MatchQueueTable& unexpected_queues() const noexcept {
+    return unexpected_;
+  }
 
   /// Flight-recorder stream of `world_rank`, nullptr when tracing is off.
   obs::TraceBuffer* tracer_for(int world_rank) const noexcept {
@@ -145,17 +201,16 @@ class Cluster {
     std::uint32_t next_free = kNil;
   };
 
-  struct Fifo {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-    std::uint32_t count = 0;
-  };
+  using Fifo = MatchQueueTable::Fifo;
 
+  /// Per-(communicator, rank) matching counters; the queues themselves live
+  /// in the cluster-wide posted_ / unexpected_ tables.
   struct Endpoint {
-    std::unordered_map<int, Fifo> posted_by_src;
-    std::unordered_map<int, Fifo> unexpected_by_src;
     std::uint32_t posted_total = 0;
     std::uint32_t unexpected_total = 0;
+    /// Posted receives with source kAnySource: while zero, matching an
+    /// arrival skips the wildcard-queue probe.
+    std::uint32_t posted_any = 0;
     std::uint64_t next_post_seq = 0;
     std::uint64_t next_arrival_seq = 0;
   };
@@ -188,7 +243,8 @@ class Cluster {
                          std::coroutine_handle<> h);
   std::uint32_t subcomm_impl(std::uint32_t parent_id, int my_rank_in_parent,
                              std::span<const int> members, int* my_new_rank);
-  void charge_copy_impl(int world_rank, std::size_t bytes);
+  void charge_copies_impl(int world_rank, std::size_t count,
+                          std::size_t bytes);
   void set_cost_scale_impl(std::uint32_t comm_id, double scale);
 
   // --- event handling -------------------------------------------------------
@@ -203,14 +259,17 @@ class Cluster {
 
   // --- matching helpers -----------------------------------------------------
   Endpoint& endpoint(std::uint32_t comm_id, int rank_in_comm);
-  /// Find and unlink the earliest-posted matching recv for (src, tag);
-  /// returns kNil if none.
-  std::uint32_t match_posted(Endpoint& ep, int src, int tag);
-  /// Find and unlink the earliest-arrived matching unexpected message.
-  std::uint32_t match_unexpected(Endpoint& ep, int src, int tag);
+  /// Find and unlink the earliest-posted recv at (comm_id, rank) matching a
+  /// message from `src` with `tag`; returns kNil if none.
+  std::uint32_t match_posted(std::uint32_t comm_id, int rank, int src,
+                             int tag);
+  /// Find and unlink the earliest-arrived unexpected message at
+  /// (comm_id, rank) matching a receive for (src or kAnySource, tag).
+  std::uint32_t match_unexpected(std::uint32_t comm_id, int rank, int src,
+                                 int tag);
   void push_fifo(Fifo& f, std::uint32_t id, bool is_msg);
-  std::uint32_t pop_fifo_match(Fifo& f, bool is_msg, int tag,
-                               std::uint64_t* seq_out);
+  /// Append an arrival no posted receive matched to its unexpected queue.
+  void queue_unexpected(Endpoint& ep, std::uint32_t msg_id);
 
   // --- pools ----------------------------------------------------------------
   std::uint32_t alloc_op();
@@ -233,6 +292,9 @@ class Cluster {
   std::vector<double> mem_chan_;  // per global NUMA domain
 
   std::vector<CommEntry> comms_;
+  /// Live matching queues of every endpoint, keyed (comm, rank, source).
+  MatchQueueTable posted_;
+  MatchQueueTable unexpected_;
   /// (member list, occurrence) -> communicator id.
   std::map<std::pair<std::vector<int>, std::uint32_t>, std::uint32_t>
       comm_registry_;

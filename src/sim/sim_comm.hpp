@@ -38,7 +38,10 @@ class SimComm final : public rt::Comm {
                                   : rt::Buffer::virt(bytes);
   }
   void charge_copy(std::size_t bytes) override {
-    cluster_->charge_copy_impl(world_rank(), bytes);
+    cluster_->charge_copies_impl(world_rank(), 1, bytes);
+  }
+  void charge_copies(std::size_t count, std::size_t bytes) override {
+    cluster_->charge_copies_impl(world_rank(), count, bytes);
   }
   std::unique_ptr<rt::Comm> create_subcomm(
       std::span<const int> members) override;

@@ -113,6 +113,7 @@ class SmpComm final : public rt::Comm {
     return rt::Buffer::real_uninit(bytes);
   }
   void charge_copy(std::size_t) override {}  // real memcpy already happened
+  void charge_copies(std::size_t, std::size_t) override {}
   std::unique_ptr<rt::Comm> create_subcomm(
       std::span<const int> members) override;
   obs::TraceBuffer* tracer() const noexcept override {

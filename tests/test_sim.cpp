@@ -4,6 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "core/alltoall.hpp"
@@ -382,6 +392,298 @@ TEST(SimSubcomm, NotAMemberThrows) {
                               co_return;
                             }),
                std::invalid_argument);
+}
+
+TEST(MatchQueueTable, AgreesWithOrderedMapUnderChurn) {
+  // Random inserts and erase-on-empty over a key domain several times the
+  // initial capacity: growth, backward-shift deletion and slot reuse must
+  // keep every live key findable with its own FIFO and no dead key.
+  sim::MatchQueueTable table;
+  std::map<std::tuple<std::uint32_t, int, int>, std::uint32_t> model;
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<int> comm_d(0, 3);
+  std::uniform_int_distribution<int> rank_d(0, 7);
+  std::uniform_int_distribution<int> src_d(-1, 9);  // -1 is kAnySource
+  std::size_t peak = 0;
+  for (std::uint32_t step = 0; step < 20000; ++step) {
+    const auto key = std::make_tuple(static_cast<std::uint32_t>(comm_d(rng)),
+                                     rank_d(rng), src_d(rng));
+    const auto [c, r, s] = key;
+    // Grow the population for the first half, then drain it.
+    const bool insert = step < 10000 ? rng() % 4 != 0 : rng() % 4 == 0;
+    auto it = model.find(key);
+    if (insert) {
+      sim::MatchQueueTable::Fifo& f = table.find_or_insert(c, r, s);
+      if (it == model.end()) {
+        EXPECT_EQ(f.count, 0u);
+        model.emplace(key, step);
+        f.head = f.tail = step;
+      } else {
+        EXPECT_EQ(f.head, it->second);
+      }
+      ++f.count;
+    } else if (it != model.end()) {
+      sim::MatchQueueTable::Fifo* f = table.find(c, r, s);
+      ASSERT_NE(f, nullptr);
+      f->count = 0;
+      table.erase(*f);
+      model.erase(it);
+    }
+    peak = std::max(peak, model.size());
+    ASSERT_EQ(table.size(), model.size());
+    if (step % 97 == 0) {
+      for (const auto& [k, head] : model) {
+        const auto [kc, kr, ks] = k;
+        const sim::MatchQueueTable::Fifo* f = table.find(kc, kr, ks);
+        ASSERT_NE(f, nullptr);
+        EXPECT_EQ(f->head, head);
+      }
+    }
+  }
+  EXPECT_GT(peak, sim::MatchQueueTable::kInitialSlots);
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    for (int r = 0; r < 8; ++r) {
+      for (int s = -1; s < 10; ++s) {
+        const bool live = model.count(std::make_tuple(c, r, s)) != 0;
+        EXPECT_EQ(table.find(c, r, s) != nullptr, live);
+      }
+    }
+  }
+}
+
+/// One scripted point-to-point operation of the matching-oracle test.
+struct ScriptOp {
+  bool send = false;
+  int comm = 0;   ///< index into the test's communicators
+  int actor = 0;  ///< rank in comm that issues the op
+  int peer = 0;   ///< destination (send) or source / kAnySource (recv)
+  int tag = 0;    ///< send tag, or recv tag / kAnyTag
+  std::size_t bytes = 0;
+  std::int32_t stamp = -1;  ///< send: index among sends
+};
+
+/// Linear-scan MPI matching: per endpoint, posted receives in post order and
+/// unexpected messages in arrival order; the first match in queue order wins.
+struct MatchingOracle {
+  /// Returns the op index of the receive `send_op` matched, or -1.
+  int arrive(const std::vector<ScriptOp>& ops, int send_op) {
+    const ScriptOp& m = ops[send_op];
+    auto& q = posted[{m.comm, m.peer}];
+    for (auto it = q.begin(); it != q.end(); ++it) {
+      const ScriptOp& r = ops[*it];
+      if ((r.peer == rt::kAnySource || r.peer == m.actor) &&
+          (r.tag == rt::kAnyTag || r.tag == m.tag)) {
+        const int recv_op = *it;
+        q.erase(it);
+        return recv_op;
+      }
+    }
+    unexpected[{m.comm, m.peer}].push_back(send_op);
+    return -1;
+  }
+  /// Returns the op index of the send `recv_op` matched, or -1.
+  int post(const std::vector<ScriptOp>& ops, int recv_op) {
+    const ScriptOp& r = ops[recv_op];
+    auto& q = unexpected[{r.comm, r.actor}];
+    for (auto it = q.begin(); it != q.end(); ++it) {
+      const ScriptOp& m = ops[*it];
+      if ((r.peer == rt::kAnySource || r.peer == m.actor) &&
+          (r.tag == rt::kAnyTag || r.tag == m.tag)) {
+        const int send_op = *it;
+        q.erase(it);
+        return send_op;
+      }
+    }
+    posted[{r.comm, r.actor}].push_back(recv_op);
+    return -1;
+  }
+  /// Distinct live (comm, rank, source) unexpected queues right now.
+  std::size_t live_unexpected_keys(const std::vector<ScriptOp>& ops) const {
+    std::map<std::tuple<int, int, int>, int> keys;
+    for (const auto& [ep, q] : unexpected) {
+      for (int id : q) {
+        ++keys[{ep.first, ep.second, ops[id].actor}];
+      }
+    }
+    return keys.size();
+  }
+
+  /// (comm, rank in comm) -> queued op indices.
+  std::map<std::pair<int, int>, std::deque<int>> posted;
+  std::map<std::pair<int, int>, std::deque<int>> unexpected;
+};
+
+TEST(SimMatching, SeededScriptMatchesLinearScanOracle) {
+  // Ranks act one scripted op at a time, each op in its own 1 ms slot of
+  // virtual time (far longer than any latency here), so every endpoint sees
+  // posts and arrivals in script order and the oracle's queue-order
+  // semantics predict exactly which message each receive gets.
+  constexpr int kRanks = 8;
+  constexpr double kSlot = 1e-3;
+  constexpr std::size_t kMaxBytes = 512;
+  constexpr int kSyncTag = 999;
+  const std::vector<std::vector<int>> comm_members = {
+      {7, 6, 5, 4, 3, 2, 1, 0}, {3, 4, 5, 6, 7, 0, 1, 2}, {1, 3, 5, 0, 2}};
+
+  model::NetParams net = model::test_params();
+  net.eager_threshold = 128;  // mix eager and rendezvous messages
+
+  std::mt19937 rng(13);
+  std::vector<ScriptOp> ops;
+  std::vector<int> predicted;  // recv op -> matched send op
+  MatchingOracle oracle;
+  std::size_t peak_unexpected_keys = 0;
+  int sends = 0;
+  auto add = [&](ScriptOp op) {
+    const int id = static_cast<int>(ops.size());
+    if (op.send) {
+      op.stamp = sends++;
+    }
+    ops.push_back(op);
+    predicted.push_back(-1);
+    if (op.send) {
+      const int recv_op = oracle.arrive(ops, id);
+      if (recv_op >= 0) {
+        predicted[recv_op] = id;
+      }
+    } else {
+      predicted[id] = oracle.post(ops, id);
+    }
+    peak_unexpected_keys =
+        std::max(peak_unexpected_keys, oracle.live_unexpected_keys(ops));
+  };
+  // At least 8 bytes, so every message carries its stamp.
+  const std::size_t sizes[] = {8, 64, 128, 129, 300, kMaxBytes};
+  // Three phases: mostly sends (unexpected queues pile up), mostly receives
+  // (they drain, then posted queues pile up), mostly sends again.
+  for (int phase = 0; phase < 3; ++phase) {
+    const unsigned send_pct = phase == 1 ? 20 : 80;
+    for (int i = 0; i < 300; ++i) {
+      ScriptOp op;
+      op.comm = static_cast<int>(rng() % comm_members.size());
+      const int size = static_cast<int>(comm_members[op.comm].size());
+      op.send = rng() % 100 < send_pct;
+      op.actor = static_cast<int>(rng() % size);
+      op.peer = static_cast<int>(rng() % size);
+      op.tag = static_cast<int>(rng() % 3);
+      if (op.send) {
+        op.bytes = sizes[rng() % std::size(sizes)];
+      } else {
+        if (rng() % 4 == 0) op.peer = rt::kAnySource;
+        if (rng() % 4 == 0) op.tag = rt::kAnyTag;
+      }
+      add(op);
+    }
+  }
+  // Complete the script: a send for every receive still posted and a
+  // receive for every message still unexpected, earliest first, so each
+  // matches its target and the run drains.
+  for (const auto& [ep, q] : std::map(oracle.posted)) {
+    for (int recv_op : q) {
+      const ScriptOp r = ops[recv_op];
+      const int size = static_cast<int>(comm_members[r.comm].size());
+      add(ScriptOp{true, r.comm,
+                   r.peer == rt::kAnySource ? static_cast<int>(rng() % size)
+                                            : r.peer,
+                   r.actor, r.tag == rt::kAnyTag ? 7 : r.tag, 16});
+    }
+  }
+  for (const auto& [ep, q] : std::map(oracle.unexpected)) {
+    for (int send_op : q) {
+      const ScriptOp m = ops[send_op];
+      add(ScriptOp{false, m.comm, m.peer, m.actor, m.tag, 0});
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].send) {
+      ASSERT_GE(predicted[i], 0) << "script leaves receive " << i << " open";
+    }
+  }
+  ASSERT_GT(peak_unexpected_keys, sim::MatchQueueTable::kInitialSlots / 2)
+      << "script too small to grow the matching table";
+
+  auto stamp_byte = [](std::int32_t stamp, std::size_t k) {
+    return static_cast<std::byte>((stamp * 29 + static_cast<int>(k)) & 0xFF);
+  };
+  std::vector<std::vector<std::byte>> bufs(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].send) {
+      // Stamp (src, seq) up front, then a body unique to the message.
+      bufs[i].resize(ops[i].bytes);
+      for (std::size_t k = 0; k < ops[i].bytes; ++k) {
+        bufs[i][k] = stamp_byte(ops[i].stamp, k);
+      }
+      const std::int32_t head[2] = {ops[i].actor, ops[i].stamp};
+      std::memcpy(bufs[i].data(), head, sizeof(head));
+    } else {
+      bufs[i].assign(kMaxBytes, std::byte{0xEE});
+    }
+  }
+
+  sim::ClusterConfig cfg;
+  cfg.machine = topo::generic(2, kRanks / 2).desc();
+  cfg.net = net;
+  cfg.carry_data = true;
+  sim::Cluster cluster(cfg);
+  cluster.run([&](Comm& world) -> Task<void> {
+    const int me = world.rank();
+    std::vector<std::unique_ptr<Comm>> comms(comm_members.size());
+    std::vector<int> my_rank(comm_members.size(), -1);
+    for (std::size_t c = 0; c < comm_members.size(); ++c) {
+      const auto& mem = comm_members[c];
+      const auto pos = std::find(mem.begin(), mem.end(), me);
+      if (pos != mem.end()) {
+        comms[c] = world.create_subcomm(mem);
+        my_rank[c] = static_cast<int>(pos - mem.begin());
+        EXPECT_EQ(comms[c]->rank(), my_rank[c]);
+      }
+    }
+    Buffer sync_s = Buffer::real(1);
+    Buffer sync_r = Buffer::real(1);
+    std::vector<std::pair<Comm*, Request>> reqs;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const ScriptOp& op = ops[i];
+      if (op.actor != my_rank[op.comm]) {
+        continue;
+      }
+      // Idle until this op's slot, then let the engine catch up by waiting
+      // for a message to self.
+      const double gap = static_cast<double>(i + 1) * kSlot - world.now();
+      if (gap > 0) {
+        world.charge_copy(static_cast<std::size_t>(std::ceil(gap / net.pack_beta)));
+      }
+      co_await world.sendrecv(sync_s.view(), me, kSyncTag, sync_r.view(), me,
+                              kSyncTag);
+      Comm& c = *comms[op.comm];
+      std::vector<std::byte>& b = bufs[i];
+      reqs.emplace_back(
+          &c, op.send ? c.isend(ConstView{b.data(), b.size()}, op.peer, op.tag)
+                      : c.irecv(MutView{b.data(), b.size()}, op.peer, op.tag));
+    }
+    for (auto& [c, r] : reqs) {
+      co_await c->wait(r);
+    }
+  });
+
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].send) {
+      continue;
+    }
+    const ScriptOp& m = ops[predicted[i]];
+    SCOPED_TRACE(::testing::Message() << "receive op " << i << " expects send op "
+                                      << predicted[i]);
+    for (std::size_t k = 0; k < kMaxBytes; ++k) {
+      const std::byte want = k < m.bytes ? bufs[predicted[i]][k] : std::byte{0xEE};
+      ASSERT_EQ(bufs[i][k], want) << "byte " << k;
+    }
+  }
+  // Every queue emptied and was erased; both tables grew past their start.
+  EXPECT_EQ(cluster.posted_queues().size(), 0u);
+  EXPECT_EQ(cluster.unexpected_queues().size(), 0u);
+  EXPECT_GT(cluster.unexpected_queues().slots(),
+            sim::MatchQueueTable::kInitialSlots);
+  EXPECT_GT(cluster.posted_queues().slots(),
+            sim::MatchQueueTable::kInitialSlots);
 }
 
 TEST(SimStats, CountsMessages) {

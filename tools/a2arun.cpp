@@ -225,10 +225,10 @@ pid_t spawn_rank(const Options& o, int rank, const std::string& host,
     // the tty and SIGHUPs the remote rank instead of orphaning it.
     std::string cmd = "env";
     for (const auto& [k, v] : env) {
-      cmd += " " + k + "=" + shell_quote(v);
+      cmd.append(" ").append(k).append("=").append(shell_quote(v));
     }
     for (const std::string& a : o.prog) {
-      cmd += " " + shell_quote(a);
+      cmd.append(" ").append(shell_quote(a));
     }
     ::execlp("ssh", "ssh", "-tt", "-o", "BatchMode=yes", host.c_str(),
              cmd.c_str(), static_cast<char*>(nullptr));
