@@ -79,9 +79,15 @@ class Buffer {
   MutView view() noexcept { return MutView{mem_.get(), size_}; }
   ConstView view() const noexcept { return ConstView{mem_.get(), size_}; }
 
-  /// Sub-views [off, off+n).
-  MutView view(std::size_t off, std::size_t n);
-  ConstView view(std::size_t off, std::size_t n) const;
+  /// Sub-views [off, off+n). Inline: packing loops call these per block.
+  MutView view(std::size_t off, std::size_t n) {
+    check_range(off, n);
+    return MutView{mem_ == nullptr ? nullptr : mem_.get() + off, n};
+  }
+  ConstView view(std::size_t off, std::size_t n) const {
+    check_range(off, n);
+    return ConstView{mem_ == nullptr ? nullptr : mem_.get() + off, n};
+  }
 
   /// Typed access to real buffers; throws std::logic_error when virtual.
   template <typename T>
@@ -97,6 +103,11 @@ class Buffer {
   }
 
  private:
+  void check_range(std::size_t off, std::size_t n) const {
+    if (off + n > size_) {
+      throw std::out_of_range("Buffer::view out of range");
+    }
+  }
   void require_real() const {
     if (virtual_ && size_ > 0) {
       throw std::logic_error("typed access to a virtual buffer");
@@ -112,7 +123,15 @@ class Buffer {
 /// views are real; virtual views make this a size-checked no-op. Returns the
 /// number of (possibly virtual) bytes "moved" so callers can charge packing
 /// cost to the performance model.
-std::size_t copy_bytes(MutView dst, ConstView src);
+inline std::size_t copy_bytes(MutView dst, ConstView src) {
+  if (dst.len != src.len) {
+    throw std::invalid_argument("copy_bytes: length mismatch");
+  }
+  if (dst.ptr != nullptr && src.ptr != nullptr && dst.len > 0) {
+    std::memmove(dst.ptr, src.ptr, dst.len);
+  }
+  return dst.len;
+}
 
 /// View over a trivially-copyable object (for tests and examples).
 template <typename T>

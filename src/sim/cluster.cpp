@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <type_traits>
 
@@ -13,6 +14,48 @@
 namespace mca2a::sim {
 
 using topo::Level;
+
+double repeated_add(double x, double t, std::uint64_t count) noexcept {
+  if (!(t > 0.0) || !std::isfinite(t)) {
+    for (; count > 0; --count) {
+      x += t;
+    }
+    return x;
+  }
+  constexpr int kTopExp = std::numeric_limits<double>::max_exponent - 1;
+  while (count > 0) {
+    const double y = x + t;  // one real add
+    --count;
+    // Bulk steps start only from a positive normal clock whose binade
+    // [2^e, 2^(e+1)) the add did not leave.
+    const int e = std::ilogb(x);
+    if (count == 0 || !(x >= std::numeric_limits<double>::min()) ||
+        e >= kTopExp || y >= std::ldexp(1.0, e + 1)) {
+      x = y;
+      continue;
+    }
+    // Inside the binade every double is a multiple of its ulp u, so each
+    // add moves the clock by the same d = RN_u(t), unless t is a rounding
+    // tie at u (ties go to even, which depends on the clock).
+    const double u = std::ldexp(1.0, e - 52);
+    const double d = y - x;  // exact by Sterbenz: x <= y < 2x
+    if (2.0 * std::abs(t - d) == u) {
+      x = y;
+      continue;
+    }
+    // Take m more steps at once, stopping at the binade's last double
+    // 2^(e+1) - u; the counts are exact integers in units of u.
+    std::uint64_t m = count;
+    if (d > 0.0) {
+      const auto room = static_cast<std::uint64_t>(
+          (std::ldexp(1.0, e + 1) - u - y) / u);
+      m = std::min(m, room / static_cast<std::uint64_t>(d / u));
+    }
+    x = y + static_cast<double>(m) * d;  // exact: stays on the binade grid
+    count -= m;
+  }
+  return x;
+}
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(std::move(cfg)), machine_(cfg_.machine), rng_(cfg_.noise_seed) {
@@ -815,13 +858,14 @@ std::uint32_t Cluster::subcomm_impl(std::uint32_t parent_id,
                                     int my_rank_in_parent,
                                     std::span<const int> members,
                                     int* my_new_rank) {
-  CommEntry& parent = comms_[parent_id];
+  const CommEntry& parent = comms_[parent_id];
   const int parent_size = static_cast<int>(parent.world_ranks.size());
   if (members.empty()) {
     throw std::invalid_argument("create_subcomm: empty member list");
   }
-  std::vector<int> world;
-  world.reserve(members.size());
+  // One pass checks the caller's view of the list and hashes its world
+  // ranks; the full duplicate check runs once, when the list is new.
+  std::uint64_t hash = members.size();
   int my_idx = -1;
   for (std::size_t i = 0; i < members.size(); ++i) {
     const int m = members[i];
@@ -834,46 +878,68 @@ std::uint32_t Cluster::subcomm_impl(std::uint32_t parent_id,
       }
       my_idx = static_cast<int>(i);
     }
-    world.push_back(parent.world_ranks[m]);
+    hash = (hash ^ static_cast<std::uint32_t>(parent.world_ranks[m])) *
+           0x9E3779B97F4A7C15ull;
+    hash ^= hash >> 29;
   }
   if (my_idx == -1) {
     throw std::invalid_argument(
         "create_subcomm: calling rank not in member list");
   }
-  {
-    std::vector<int> sorted = world;
+
+  auto same_list = [&](const std::vector<int>& world) {
+    if (world.size() != members.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (world[i] != parent.world_ranks[members[i]]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::uint32_t list_id = UINT32_MAX;
+  for (auto [it, end] = lists_by_hash_.equal_range(hash); it != end; ++it) {
+    if (same_list(member_lists_[it->second].world)) {
+      list_id = it->second;
+      break;
+    }
+  }
+  if (list_id == UINT32_MAX) {
+    MemberList list;
+    list.world.reserve(members.size());
+    for (const int m : members) {
+      list.world.push_back(parent.world_ranks[m]);
+    }
+    std::vector<int> sorted = list.world;
     std::sort(sorted.begin(), sorted.end());
     if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
       throw std::invalid_argument("create_subcomm: duplicate member");
     }
+    list.uses.assign(members.size(), 0);
+    list_id = static_cast<std::uint32_t>(member_lists_.size());
+    member_lists_.push_back(std::move(list));
+    lists_by_hash_.emplace(hash, list_id);
   }
 
-  // Fresh context per creation: my k-th creation with this member list maps
-  // to the k-th global communicator for the list.
-  const int me_world = parent.world_ranks[my_rank_in_parent];
-  const std::uint32_t occurrence = ranks_[me_world].subcomm_uses[world]++;
-  auto [it, inserted] = comm_registry_.try_emplace(
-      std::make_pair(world, occurrence),
-      static_cast<std::uint32_t>(comms_.size()));
-  if (inserted) {
+  MemberList& list = member_lists_[list_id];
+  const std::uint32_t occurrence = list.uses[my_idx]++;
+  if (occurrence == list.comm_ids.size()) {
     CommEntry entry;
-    entry.world_ranks = world;
-    entry.endpoints.resize(world.size());
+    entry.world_ranks = list.world;
+    entry.endpoints.resize(list.world.size());
     entry.cost_scale = parent.cost_scale;
+    list.comm_ids.push_back(static_cast<std::uint32_t>(comms_.size()));
     comms_.push_back(std::move(entry));
   }
   *my_new_rank = my_idx;
-  return it->second;
+  return list.comm_ids[occurrence];
 }
 
 void Cluster::charge_copies_impl(int world_rank, std::size_t count,
                                  std::size_t bytes) {
-  // One add per copy, in order: bit-identical to `count` single charges.
-  const double t = model::pack_time(cfg_.net, bytes);
   double& clock = ranks_[world_rank].clock;
-  for (std::size_t i = 0; i < count; ++i) {
-    clock += t;
-  }
+  clock = repeated_add(clock, model::pack_time(cfg_.net, bytes), count);
 }
 
 void Cluster::set_cost_scale_impl(std::uint32_t comm_id, double scale) {

@@ -13,11 +13,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "model/cost.hpp"
@@ -53,6 +53,13 @@ struct ClusterConfig {
   /// Seed for the log-normal noise stream (used when net.noise_sigma > 0).
   std::uint64_t noise_seed = 1;
 };
+
+/// `count` sequential additions `x += t`, bit-identical to the loop but in
+/// O(binades crossed) steps: while x stays in one binade, each add moves it
+/// by the same exact amount, so runs of adds collapse into one product. A
+/// rounding tie at the binade's ulp, a binade crossing, a non-normal clock
+/// and a non-positive or non-finite `t` take single adds.
+double repeated_add(double x, double t, std::uint64_t count) noexcept;
 
 /// Open-addressing hash table from a matching key (communicator id, rank in
 /// that communicator, source rank or kAnySource) to the head/tail/count of an
@@ -227,10 +234,18 @@ class Cluster {
     /// messages; serializes receive-side per-message CPU costs so that a
     /// funnel rank (e.g. a gather root) pays for every byte it touches.
     double cpu_free = 0.0;
-    /// How many times this rank has created a subcomm with a given world-rank
-    /// member list; the k-th creation joins the k-th global communicator for
-    /// that list (fresh context per creation, like MPI, with no handshake).
-    std::map<std::vector<int>, std::uint32_t> subcomm_uses;
+  };
+
+  /// One distinct sub-communicator member list (world ranks, in new-rank
+  /// order). A member's k-th creation with the list joins the k-th
+  /// communicator made for it: a fresh context per creation, like MPI, with
+  /// no handshake.
+  struct MemberList {
+    std::vector<int> world;
+    /// Creation index -> communicator id.
+    std::vector<std::uint32_t> comm_ids;
+    /// Rank in the list -> how many times that member has created it.
+    std::vector<std::uint32_t> uses;
   };
 
   // --- SimComm entry points -------------------------------------------------
@@ -295,9 +310,10 @@ class Cluster {
   /// Live matching queues of every endpoint, keyed (comm, rank, source).
   MatchQueueTable posted_;
   MatchQueueTable unexpected_;
-  /// (member list, occurrence) -> communicator id.
-  std::map<std::pair<std::vector<int>, std::uint32_t>, std::uint32_t>
-      comm_registry_;
+  /// Every member list a sub-communicator was created with, found through
+  /// a hash of its world ranks (equal hashes are told apart by the list).
+  std::vector<MemberList> member_lists_;
+  std::unordered_multimap<std::uint64_t, std::uint32_t> lists_by_hash_;
 
   std::vector<OpRec> ops_;
   std::uint32_t free_op_ = kNil;

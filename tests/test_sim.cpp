@@ -10,9 +10,11 @@
 #include <cstring>
 #include <deque>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -364,6 +366,161 @@ TEST(SimDeterminism, VirtualAndRealPayloadsSameTime) {
   EXPECT_DOUBLE_EQ(run_once(true), run_once(false));
 }
 
+TEST(SimBruck, VirtualAndRealBuffersAgreeWithNonblocking) {
+  // Bruck copies whole runs of blocks: with virtual buffers it must charge
+  // exactly the virtual time and messages of the payload-carrying run, and
+  // the payloads it delivers must be those of the direct exchange.
+  const std::size_t block = 4;
+  for (const int p : {5, 100, 112}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    auto run_once = [&](bool carry, bool bruck,
+                        std::vector<std::vector<std::byte>>* out) {
+      sim::ClusterConfig cfg;
+      cfg.machine = topo::generic(1, p).desc();
+      cfg.net = model::test_params();
+      cfg.carry_data = carry;
+      sim::Cluster cluster(cfg);
+      const double t = cluster.run([&](Comm& c) -> Task<void> {
+        Buffer send = c.alloc_buffer(block * p);
+        Buffer recv = c.alloc_buffer(block * p);
+        if (carry) {
+          test::fill_send(send, c.rank(), p, block);
+        }
+        if (bruck) {
+          co_await coll::alltoall_bruck(c, send.view(), recv.view(), block);
+        } else {
+          co_await coll::alltoall_nonblocking(c, send.view(), recv.view(),
+                                              block);
+        }
+        if (carry) {
+          EXPECT_TRUE(test::check_recv(recv, c.rank(), p, block));
+          const auto bytes = recv.typed<std::byte>();
+          (*out)[c.rank()].assign(bytes.begin(), bytes.end());
+        }
+      });
+      return std::make_pair(t, cluster.messages_sent());
+    };
+    std::vector<std::vector<std::byte>> bruck_bytes(p), direct_bytes(p);
+    const auto real = run_once(true, true, &bruck_bytes);
+    const auto virt = run_once(false, true, nullptr);
+    EXPECT_EQ(std::memcmp(&real.first, &virt.first, sizeof(double)), 0)
+        << real.first << " vs " << virt.first;
+    EXPECT_EQ(real.second, virt.second);
+    run_once(true, false, &direct_bytes);
+    EXPECT_EQ(bruck_bytes, direct_bytes);
+  }
+}
+
+TEST(SimClock, RepeatedAddMatchesSequentialAdds) {
+  // repeated_add jumps through each binade of the clock in one product;
+  // it must land on the same bits as the loop it replaces, whatever the
+  // clock, the increment's mantissa or the rounding ties along the way.
+  auto sequential = [](double x, double t, std::uint64_t count) {
+    for (; count > 0; --count) {
+      x += t;
+    }
+    return x;
+  };
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  std::mt19937_64 rng(20260419);
+  auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  auto ulp = [](double x) { return std::ldexp(1.0, std::ilogb(x) - 52); };
+
+  for (int iter = 0; iter < 6000; ++iter) {
+    // Clock: zero, anywhere over 40 binades, or just below a power of two
+    // so the adds cross into the next binade.
+    double x = 0.0;
+    switch (iter % 3) {
+      case 1:
+        x = std::ldexp(uniform(1.0, 2.0), pick(-30, 10));
+        break;
+      case 2: {
+        const double top = std::ldexp(1.0, pick(-30, 10));
+        x = top - pick(1, 5000) * ulp(top / 2);
+        break;
+      }
+      default:
+        break;
+    }
+    const double base = x > 0.0 ? x : std::ldexp(1.0, pick(-30, 10));
+    // Increment: full mantissa, short mantissa around the ulp, or an exact
+    // half-ulp tie at the clock's binade or the next one.
+    double t = 0.0;
+    switch ((iter / 3) % 4) {
+      case 0:
+        t = base * std::ldexp(uniform(1.0, 2.0), pick(-60, -1));
+        break;
+      case 1:
+        t = pick(1, 255) * std::ldexp(ulp(base), pick(-6, 6));
+        break;
+      case 2:
+        t = (pick(0, 1000) + 0.5) * ulp(base);
+        break;
+      default:
+        t = (pick(0, 1000) + 0.5) * 2.0 * ulp(base);
+        break;
+    }
+    const std::uint64_t counts[] = {0, 1, static_cast<std::uint64_t>(
+                                              pick(2, 5000))};
+    for (const std::uint64_t count : counts) {
+      const double want = sequential(x, t, count);
+      const double got = sim::repeated_add(x, t, count);
+      ASSERT_TRUE(same_bits(want, got))
+          << "x=" << x << " t=" << t << " count=" << count << ": want "
+          << want << " got " << got;
+    }
+    if (iter % 60 == 0) {
+      const double want = sequential(x, t, 1000000);
+      ASSERT_TRUE(same_bits(want, sim::repeated_add(x, t, 1000000)))
+          << "x=" << x << " t=" << t << " count=1e6";
+    }
+  }
+  // Degenerate increments keep the loop's semantics too.
+  EXPECT_TRUE(same_bits(sim::repeated_add(1.5, 0.0, 10), 1.5));
+  EXPECT_TRUE(same_bits(sim::repeated_add(1.5, -0.25, 3), 0.75));
+  EXPECT_TRUE(std::isnan(sim::repeated_add(1.5, std::nan(""), 3)));
+  EXPECT_TRUE(same_bits(sim::repeated_add(0.0, 1e-300, 1000000),
+                        sequential(0.0, 1e-300, 1000000)));
+  const double tiny = 3 * std::numeric_limits<double>::denorm_min();
+  EXPECT_TRUE(same_bits(sim::repeated_add(0.0, tiny, 100000),
+                        sequential(0.0, tiny, 100000)));
+}
+
+TEST(SimClock, ChargeCopiesEqualsSingleCharges) {
+  // Through the Comm interface: one charge_copies(n, b) leaves the clock
+  // where n charge_copy(b) calls would.
+  const std::size_t sizes[] = {1, 4, 12, 4096};
+  std::vector<double> bulk;
+  std::vector<double> single;
+  run_sim_flat(1, [&](Comm& c) -> Task<void> {
+    for (const std::size_t b : sizes) {
+      c.charge_copies(1000000, b);
+      bulk.push_back(c.now());
+    }
+    co_return;
+  });
+  run_sim_flat(1, [&](Comm& c) -> Task<void> {
+    for (const std::size_t b : sizes) {
+      for (int i = 0; i < 1000000; ++i) {
+        c.charge_copy(b);
+      }
+      single.push_back(c.now());
+    }
+    co_return;
+  });
+  ASSERT_EQ(bulk.size(), single.size());
+  EXPECT_EQ(std::memcmp(bulk.data(), single.data(),
+                        bulk.size() * sizeof(double)),
+            0);
+}
+
 TEST(SimSubcomm, SplitCommRoutesIndependently) {
   run_sim_flat(4, [](Comm& c) -> Task<void> {
     // Evens and odds form separate subcomms; ranks renumbered 0..1.
@@ -392,6 +549,59 @@ TEST(SimSubcomm, NotAMemberThrows) {
                               co_return;
                             }),
                std::invalid_argument);
+}
+
+TEST(SimSubcomm, NamedErrorsAndFreshContexts) {
+  auto error_of = [](Comm& c, std::vector<int> members) -> std::string {
+    try {
+      (void)c.create_subcomm(members);
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  run_sim_flat(4, [&](Comm& c) -> Task<void> {
+    const int me = c.rank();
+    const int other = (me + 1) % 4;
+    EXPECT_EQ(error_of(c, {}), "create_subcomm: empty member list");
+    EXPECT_EQ(error_of(c, {me, 4}),
+              "create_subcomm: member rank out of range");
+    EXPECT_EQ(error_of(c, {me, -1}),
+              "create_subcomm: member rank out of range");
+    EXPECT_EQ(error_of(c, {me, me}), "create_subcomm: duplicate member");
+    // A duplicate other than the caller is found when the list is first
+    // seen, and a rejected list is never registered: asking again fails
+    // the same way.
+    for (int again = 0; again < 2; ++again) {
+      EXPECT_EQ(error_of(c, {me, other, other}),
+                "create_subcomm: duplicate member");
+    }
+    EXPECT_EQ(error_of(c, {other}),
+              "create_subcomm: calling rank not in member list");
+
+    // The same list twice gives two contexts; the reversed list is a
+    // different communicator with reversed ranks.
+    const std::vector<int> all{0, 1, 2, 3};
+    const std::vector<int> reversed{3, 2, 1, 0};
+    auto first = c.create_subcomm(all);
+    auto second = c.create_subcomm(all);
+    auto back = c.create_subcomm(reversed);
+    EXPECT_EQ(back->rank(), 3 - me);
+    Buffer a = Buffer::real(4);
+    Buffer b = Buffer::real(4);
+    if (me == 0) {
+      a.typed<int>()[0] = 1;
+      b.typed<int>()[0] = 2;
+      co_await second->send(b.view(), 1, 0);
+      co_await first->send(a.view(), 1, 0);
+    } else if (me == 1) {
+      // Same peer and tag: only the context keeps the two apart.
+      co_await first->recv(a.view(), 0, 0);
+      co_await second->recv(b.view(), 0, 0);
+      EXPECT_EQ(a.typed<int>()[0], 1);
+      EXPECT_EQ(b.typed<int>()[0], 2);
+    }
+  });
 }
 
 TEST(MatchQueueTable, AgreesWithOrderedMapUnderChurn) {
