@@ -5,11 +5,13 @@
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -88,6 +90,8 @@ Endpoint::Endpoint(NetOptions opts)
   }
   frames_tx_ = &reg.counter("net.frames_tx");
   frames_rx_ = &reg.counter("net.frames_rx");
+  tx_calls_ = &reg.counter("net.tx_calls");
+  rx_calls_ = &reg.counter("net.rx_calls");
   eager_tx_ = &reg.counter("net.eager_tx");
   rndv_tx_ = &reg.counter("net.rndv_tx");
   if (obs::TraceRecorder* rec = obs::active_recorder()) {
@@ -270,7 +274,7 @@ void Endpoint::run_calibration() {
     ping.token = ++ping_token_;
     pong_pending_ = true;
     const double t_send = now();
-    enqueue(ref.conns[0], ping, rt::ConstView{}, {}, UINT32_MAX);
+    enqueue(ref.conns[0], ping, rt::ConstView{}, UINT32_MAX);
     while (pong_pending_) {
       if (fatal_ || ref.dead || ref.bye_seen || now() >= deadline) {
         pong_pending_ = false;
@@ -406,15 +410,22 @@ rt::Request Endpoint::post_send(std::uint64_t comm_key,
     h.comm_key = comm_key;
     h.src = me;
     h.bytes = buf.len;
-    std::vector<std::byte> owned;
-    if (buf.len > 0) {
-      owned.assign(buf.ptr, buf.ptr + buf.len);
-    }
     eager_tx_->add(1);
     const std::uint64_t flow =
         buf.len > 0 ? next_tx_flow(comm_key, dst_world, tag) : 0;
-    enqueue(peer.conns[0], h, rt::ConstView{}, std::move(owned), UINT32_MAX,
-            flow);
+    enqueue(peer.conns[0], h, buf, UINT32_MAX, flow);
+    // The flush inside enqueue sent straight from `buf`. If the kernel did
+    // not take the whole frame, it is still queued (and, FIFO, the last
+    // frame): keep a copy of just its unsent payload, since the caller may
+    // reuse `buf` as soon as isend returns.
+    Conn& c = rail0(dst_world);
+    if (!c.txq.empty()) {
+      TxFrame& f = c.txq.back();
+      f.owned.assign(f.payload.ptr + f.payload_sent,
+                     f.payload.ptr + f.payload.len);
+      f.payload = rt::ConstView{f.owned.data(), f.owned.size()};
+      f.payload_sent = 0;
+    }
     return rt::Request{};  // buffered: complete on return
   }
 
@@ -434,7 +445,7 @@ rt::Request Endpoint::post_send(std::uint64_t comm_key,
   h.bytes = buf.len;
   h.token = slot;
   rndv_tx_->add(1);
-  enqueue(peer.conns[0], h, rt::ConstView{}, {}, UINT32_MAX);
+  enqueue(peer.conns[0], h, rt::ConstView{}, UINT32_MAX);
   return rt::Request{slot, op.serial};
 }
 
@@ -580,7 +591,7 @@ void Endpoint::start_rndv_recv(std::uint32_t recv_op, int peer_world,
   h.kind = FrameKind::kCts;
   h.token = sender_token;
   h.token2 = token;
-  enqueue(peer.conns[0], h, rt::ConstView{}, {}, UINT32_MAX);
+  enqueue(peer.conns[0], h, rt::ConstView{}, UINT32_MAX);
 }
 
 void Endpoint::send_data_frames(std::uint32_t send_op,
@@ -611,7 +622,7 @@ void Endpoint::send_data_frames(std::uint32_t send_op,
       h.token = recv_token;
       h.token2 = off;
       enqueue(peer.conns[static_cast<std::size_t>(rail)], h,
-              op.sbuf.sub(off, n), {}, send_op,
+              op.sbuf.sub(off, n), send_op,
               off == 0 ? op.flow_id : 0);
       off += n;
       ++rail;
@@ -625,8 +636,8 @@ void Endpoint::send_data_frames(std::uint32_t send_op,
     h.token = recv_token;
     h.token2 = 0;
     op.frames_left = 1;
-    enqueue(peer.conns[static_cast<std::size_t>(rail)], h, op.sbuf, {},
-            send_op, op.flow_id);
+    enqueue(peer.conns[static_cast<std::size_t>(rail)], h, op.sbuf, send_op,
+            op.flow_id);
   }
 }
 
@@ -708,73 +719,113 @@ void Endpoint::progress(int timeout_ms) {
 
 void Endpoint::handle_readable(int ci) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
+  if (c.rx_stage.empty()) {
+    c.rx_stage.resize(kRxStageBytes);
+  }
   while (c.open) {
-    if (!c.rx_in_payload) {
-      const std::size_t need = kHeaderBytes - c.rx_header_got;
-      const ssize_t n =
-          ::read(c.fd.get(), c.rx_header + c.rx_header_got, need);
-      if (n == 0) {
-        conn_lost(ci);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          return;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        conn_lost(ci);
-        return;
-      }
-      c.rx_header_got += static_cast<std::size_t>(n);
-      if (c.rx_header_got == kHeaderBytes) {
-        on_frame(ci);
-      }
-    } else {
-      // Stream payload: into the matched destination while it lasts, into
-      // the discard sink beyond it (truncated receives stay framed).
-      const std::size_t total = c.rx_frame.bytes;
-      std::size_t got = c.rx_payload_got;
-      std::byte* dst;
-      std::size_t cap;
-      if (got < c.rx_dest.len) {
-        dst = c.rx_dest.ptr + got;
-        cap = c.rx_dest.len - got;
+    // A payload remainder of at least a stage goes straight into its
+    // destination (the discard sink beyond a truncated receive); all else
+    // lands in the stage. parse_staged() consumes staged payload bytes
+    // greedily, so the stage is empty whenever a payload is in progress.
+    const std::size_t payload_left = c.rx_frame.bytes - c.rx_payload_got;
+    const bool direct = c.rx_in_payload && payload_left >= kRxStageBytes;
+    std::byte* dst = nullptr;
+    std::size_t want = 0;
+    if (direct) {
+      assert(c.rx_head == c.rx_tail);
+      if (c.rx_payload_got < c.rx_dest.len) {
+        dst = c.rx_dest.ptr + c.rx_payload_got;
+        want = c.rx_dest.len - c.rx_payload_got;
       } else {
-        dst = thrash_buffer(cap);
+        dst = thrash_buffer(want);
       }
-      const std::size_t want = std::min<std::size_t>(cap, total - got);
-      const ssize_t n = ::read(c.fd.get(), dst, want);
-      if (n == 0) {
-        conn_lost(ci);
+      want = std::min(want, payload_left);
+    } else {
+      // Only a partial header can be left over: move it to the front.
+      if (c.rx_head > 0) {
+        std::memmove(c.rx_stage.data(), c.rx_stage.data() + c.rx_head,
+                     c.rx_tail - c.rx_head);
+        c.rx_tail -= c.rx_head;
+        c.rx_head = 0;
+      }
+      dst = c.rx_stage.data() + c.rx_tail;
+      want = kRxStageBytes - c.rx_tail;
+    }
+    const ssize_t n = ::read(c.fd.get(), dst, want);
+    const int err = errno;
+    rx_calls_->add(1);
+    if (n == 0) {
+      conn_lost(ci);
+      return;
+    }
+    if (n < 0) {
+      if (err == EAGAIN || err == EWOULDBLOCK) {
         return;
       }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          return;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        conn_lost(ci);
-        return;
+      if (err == EINTR) {
+        continue;
       }
-      c.rx_payload_got += static_cast<std::size_t>(n);
-      rail_rx_[static_cast<std::size_t>(c.rail)]->add(
-          static_cast<std::uint64_t>(n));
-      if (c.rx_payload_got == total) {
+      conn_lost(ci);
+      return;
+    }
+    const auto got = static_cast<std::size_t>(n);
+    if (direct) {
+      c.rx_payload_got += got;
+      rail_rx_[static_cast<std::size_t>(c.rail)]->add(got);
+      if (c.rx_payload_got == c.rx_frame.bytes) {
         finish_rx(ci);
       }
+    } else {
+      c.rx_tail += got;
+      parse_staged(ci);
+    }
+    if (got < want) {
+      // Short read: the socket is drained. Level-triggered epoll reports
+      // it again when more bytes arrive, so no read is spent on EAGAIN.
+      return;
     }
   }
 }
 
-void Endpoint::on_frame(int ci) {
+void Endpoint::parse_staged(int ci) {
+  Conn& c = conns_[static_cast<std::size_t>(ci)];
+  while (c.open && c.rx_head < c.rx_tail) {
+    const std::byte* p = c.rx_stage.data() + c.rx_head;
+    const std::size_t avail = c.rx_tail - c.rx_head;
+    if (!c.rx_in_payload) {
+      if (avail < kHeaderBytes) {
+        break;  // partial header: wait for the rest
+      }
+      c.rx_head += kHeaderBytes;
+      on_frame(ci, p);
+      continue;
+    }
+    // Payload: into the matched destination while it lasts, dropped
+    // beyond it (truncated receives stay framed).
+    const std::size_t got = c.rx_payload_got;
+    const std::size_t n =
+        std::min<std::size_t>(avail, c.rx_frame.bytes - got);
+    if (got < c.rx_dest.len) {
+      std::memcpy(c.rx_dest.ptr + got, p, std::min(n, c.rx_dest.len - got));
+    }
+    c.rx_payload_got += n;
+    c.rx_head += n;
+    rail_rx_[static_cast<std::size_t>(c.rail)]->add(n);
+    if (c.rx_payload_got == c.rx_frame.bytes) {
+      finish_rx(ci);
+    }
+  }
+  if (c.rx_head == c.rx_tail) {
+    c.rx_head = 0;
+    c.rx_tail = 0;
+  }
+}
+
+void Endpoint::on_frame(int ci, const std::byte* header) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
   FrameHeader h;
   try {
-    h = decode(c.rx_header);
+    h = decode(header);
   } catch (const std::exception& e) {
     fatal_ = true;
     fatal_msg_ = std::string("net: ") + e.what();
@@ -782,7 +833,6 @@ void Endpoint::on_frame(int ci) {
     return;
   }
   frames_rx_->add(1);
-  c.rx_header_got = 0;
   c.rx_frame = h;
   c.rx_payload_got = 0;
   c.rx_dest = rt::MutView{};
@@ -908,7 +958,7 @@ void Endpoint::on_frame(int ci) {
         pong.kind = FrameKind::kPong;
         pong.token = h.token;
         pong.token2 = static_cast<std::uint64_t>(now() * 1e9);
-        enqueue(ci, pong, rt::ConstView{}, {}, UINT32_MAX);
+        enqueue(ci, pong, rt::ConstView{}, UINT32_MAX);
       }
       return;
     }
@@ -984,7 +1034,6 @@ void Endpoint::finish_rx(int ci) {
     c.rx_span_open = false;
   }
   c.rx_in_payload = false;
-  c.rx_header_got = 0;
   c.rx_payload_got = 0;
   c.rx_dest = rt::MutView{};
   c.rx_recv_op = UINT32_MAX;
@@ -994,8 +1043,7 @@ void Endpoint::finish_rx(int ci) {
 // --- transmit path -----------------------------------------------------------
 
 void Endpoint::enqueue(int ci, const FrameHeader& h, rt::ConstView payload,
-                       std::vector<std::byte> owned, std::uint32_t send_op,
-                       std::uint64_t flow) {
+                       std::uint32_t send_op, std::uint64_t flow) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
   if (!c.open) {
     if (send_op != UINT32_MAX) {
@@ -1007,95 +1055,122 @@ void Endpoint::enqueue(int ci, const FrameHeader& h, rt::ConstView payload,
     }
     return;
   }
-  TxFrame f;
+  TxFrame& f = c.txq.emplace_back();
   encode(h, f.header);
-  f.owned = std::move(owned);
-  f.payload = f.owned.empty() ? payload
-                              : rt::ConstView{f.owned.data(), f.owned.size()};
+  f.payload = payload;
   f.send_op = send_op;
   f.flow_id = flow;
-  c.txq.push_back(std::move(f));
   frames_tx_->add(1);
-  handle_writable(ci);  // opportunistic flush; EPOLLOUT arms on EAGAIN
+  // Opportunistic flush, unless the connection already waits for EPOLLOUT
+  // (its send buffer is full; the progress loop flushes it when it drains).
+  if (!c.want_out) {
+    handle_writable(ci);
+  }
 }
 
 void Endpoint::handle_writable(int ci) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
   while (c.open && !c.txq.empty()) {
-    TxFrame& f = c.txq.front();
-    if (tracer_ != nullptr && !f.span_open && f.header_sent == 0 &&
-        f.payload.len > 0) {
-      f.span_open = tracer_->begin(
+    // One sendmsg over the header and payload remainders of as many
+    // queued frames as the iovec limit allows.
+    iovec iov[IOV_MAX];
+    std::size_t niov = 0;
+    std::size_t nframes = 0;
+    std::size_t offered = 0;
+    std::size_t payload_offered = 0;
+    for (TxFrame& f : c.txq) {
+      if (niov + 2 > IOV_MAX) {
+        break;
+      }
+      if (f.header_sent < kHeaderBytes) {
+        iov[niov++] = iovec{f.header + f.header_sent,
+                            kHeaderBytes - f.header_sent};
+        offered += kHeaderBytes - f.header_sent;
+      }
+      if (f.payload_sent < f.payload.len) {
+        const std::size_t n = f.payload.len - f.payload_sent;
+        iov[niov++] = iovec{
+            const_cast<std::byte*>(f.payload.ptr + f.payload_sent), n};
+        offered += n;
+        payload_offered += n;
+      }
+      ++nframes;
+    }
+    // One net.send span per call that carries payload; the flow arrow of
+    // every message whose first byte is offered here starts inside it,
+    // before the bytes can reach the receiver.
+    bool span_open = false;
+    if (tracer_ != nullptr && payload_offered > 0) {
+      span_open = tracer_->begin(
           "net.send", "net", ci + 1,
-          {{"bytes", static_cast<std::int64_t>(f.payload.len)},
+          {{"bytes", static_cast<std::int64_t>(payload_offered)},
            {"peer", c.peer},
            {"rail", c.rail}});
-      if (f.span_open && f.flow_id != 0) {
-        tracer_->flow_start(f.flow_id, ci + 1);
+      for (std::size_t i = 0; i < nframes; ++i) {
+        TxFrame& f = c.txq[i];
+        if (span_open && f.flow_id != 0) {
+          tracer_->flow_start(f.flow_id, ci + 1);
+        }
         f.flow_id = 0;  // one arrow per message, even across retries
       }
     }
-    bool blocked = false;
-    while (f.header_sent < kHeaderBytes) {
-      // MSG_NOSIGNAL everywhere we write a socket: a dead peer must come
-      // back as EPIPE -> conn_lost() -> the documented runtime_error, not
-      // as a SIGPIPE that kills the whole rank process.
-      const ssize_t n = ::send(c.fd.get(), f.header + f.header_sent,
-                               kHeaderBytes - f.header_sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          blocked = true;
-          break;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        conn_lost(ci);
-        return;
-      }
-      f.header_sent += static_cast<std::size_t>(n);
-    }
-    if (blocked) {
-      rail_retry_[static_cast<std::size_t>(c.rail)]->add(1);
-      break;
-    }
-    while (f.payload_sent < f.payload.len) {
-      const ssize_t n =
-          ::send(c.fd.get(), f.payload.ptr + f.payload_sent,
-                 f.payload.len - f.payload_sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          blocked = true;
-          break;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        conn_lost(ci);
-        return;
-      }
-      f.payload_sent += static_cast<std::size_t>(n);
-      rail_tx_[static_cast<std::size_t>(c.rail)]->add(
-          static_cast<std::uint64_t>(n));
-    }
-    if (blocked) {
-      rail_retry_[static_cast<std::size_t>(c.rail)]->add(1);
-      break;
-    }
-    // Frame fully handed to the kernel.
-    if (f.span_open) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    // MSG_NOSIGNAL everywhere we write a socket: a dead peer must come
+    // back as EPIPE -> conn_lost() -> the documented runtime_error, not as
+    // a SIGPIPE that kills the whole rank process.
+    const ssize_t n = ::sendmsg(c.fd.get(), &msg, MSG_NOSIGNAL);
+    const int err = errno;
+    tx_calls_->add(1);
+    if (span_open) {
       tracer_->end(ci + 1);
     }
-    if (f.send_op != UINT32_MAX) {
-      Op& op = ops_[f.send_op];
-      if (op.frames_left > 0) {
-        --op.frames_left;
+    if (n < 0) {
+      if (err == EINTR) {
+        continue;
       }
-      if (op.cts_seen && op.frames_left == 0) {
-        op.complete = true;
+      if (err == EAGAIN || err == EWOULDBLOCK) {
+        rail_retry_[static_cast<std::size_t>(c.rail)]->add(1);
+        break;
       }
+      conn_lost(ci);
+      return;
     }
-    c.txq.pop_front();
+    // Spread the accepted bytes over the frames in queue order.
+    std::size_t left = static_cast<std::size_t>(n);
+    std::size_t payload_sent = 0;
+    while (!c.txq.empty()) {
+      TxFrame& f = c.txq.front();
+      const std::size_t hb = std::min(left, kHeaderBytes - f.header_sent);
+      f.header_sent += hb;
+      left -= hb;
+      const std::size_t pb = std::min(left, f.payload.len - f.payload_sent);
+      f.payload_sent += pb;
+      left -= pb;
+      payload_sent += pb;
+      if (f.header_sent < kHeaderBytes || f.payload_sent < f.payload.len) {
+        break;
+      }
+      // Frame fully handed to the kernel.
+      if (f.send_op != UINT32_MAX) {
+        Op& op = ops_[f.send_op];
+        if (op.frames_left > 0) {
+          --op.frames_left;
+        }
+        if (op.cts_seen && op.frames_left == 0) {
+          op.complete = true;
+        }
+      }
+      c.txq.pop_front();
+    }
+    rail_tx_[static_cast<std::size_t>(c.rail)]->add(payload_sent);
+    if (static_cast<std::size_t>(n) < offered) {
+      // The kernel took less than offered: its send buffer is full, so the
+      // next call would only return EAGAIN. Wait for EPOLLOUT instead.
+      rail_retry_[static_cast<std::size_t>(c.rail)]->add(1);
+      break;
+    }
   }
   const bool need_out = c.open && !c.txq.empty();
   if (need_out != c.want_out) {
@@ -1135,10 +1210,6 @@ void Endpoint::conn_lost(int ci) {
   c.fd.reset();
   // Queued frames die with the connection; fail their send operations.
   for (TxFrame& f : c.txq) {
-    if (f.span_open) {
-      tracer_->end(ci + 1);
-      f.span_open = false;
-    }
     if (f.send_op != UINT32_MAX) {
       Op& op = ops_[f.send_op];
       op.complete = true;
@@ -1236,7 +1307,7 @@ void Endpoint::shutdown() noexcept {
         if (conn >= 0 && conns_[static_cast<std::size_t>(conn)].open) {
           FrameHeader bye;
           bye.kind = FrameKind::kBye;
-          enqueue(conn, bye, rt::ConstView{}, {}, UINT32_MAX);
+          enqueue(conn, bye, rt::ConstView{}, UINT32_MAX);
         }
       }
       peer.bye_sent = true;

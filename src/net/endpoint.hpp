@@ -12,9 +12,10 @@
 /// like an MPI library progressing inside MPI_Wait.
 ///
 /// Message protocol (net/wire.hpp has the frame format):
-///  * messages with payload <= eager_max travel as one kEager frame whose
-///    payload is copied out of the user buffer at isend time — buffered
-///    semantics, the send request completes immediately;
+///  * messages with payload <= eager_max travel as one kEager frame sent
+///    straight from the user buffer; only a remainder the kernel did not
+///    take is copied, before isend returns — buffered semantics, the send
+///    request completes immediately;
 ///  * larger messages use rendezvous: a kRts frame announces (comm, src,
 ///    tag, bytes); when the receiver matches it against a posted receive
 ///    it replies kCts, and only then does the sender stream the body as
@@ -24,6 +25,13 @@
 ///    chunks, one per rail, so a single large leader-exchange message
 ///    drives every connection of the pair concurrently. Smaller bodies
 ///    pick one rail round-robin.
+///
+/// On the socket: every flush is one sendmsg over the header and payload
+/// remainders of all queued frames of a connection, and every read fills a
+/// per-connection staging buffer that is parsed for as many frames as it
+/// holds (a payload remainder of at least a stage is read straight into
+/// its destination instead). A short read ends the read loop: the socket
+/// is drained, and level-triggered epoll reports it again.
 ///
 /// Ordering: all matching-relevant frames (kEager, kRts) of a peer pair
 /// travel on rail 0, so TCP's FIFO gives the same non-overtaking matching
@@ -112,9 +120,14 @@ class Endpoint {
   /// simulating a crashed process (peers must error out, not hang).
   void abort_for_test() noexcept;
 
+  /// Size of each connection's receive staging buffer (allocated on the
+  /// connection's first read).
+  static constexpr std::size_t kRxStageBytes = 16 * 1024;
+
  private:
   // One queued outgoing frame. `payload` points into the user buffer for
-  // rendezvous data (zero-copy), into `owned` for eager copies.
+  // rendezvous data (zero-copy), into `owned` for the unsent remainder of
+  // an eager frame.
   struct TxFrame {
     std::byte header[kHeaderBytes];
     std::size_t header_sent = 0;
@@ -122,7 +135,6 @@ class Endpoint {
     std::size_t payload_sent = 0;
     std::vector<std::byte> owned;
     std::uint32_t send_op = UINT32_MAX;  ///< op to credit when fully sent
-    bool span_open = false;              ///< net.send span in flight
     std::uint64_t flow_id = 0;  ///< flow arrow source, emitted on first flush
   };
 
@@ -135,9 +147,12 @@ class Endpoint {
     bool want_out = false;  ///< EPOLLOUT armed
     bool shut_wr = false;   ///< SHUT_WR issued during orderly shutdown
     std::deque<TxFrame> txq;
-    // Receive state machine: header assembly, then payload streaming.
-    std::byte rx_header[kHeaderBytes];
-    std::size_t rx_header_got = 0;
+    // Receive state: bytes read but not yet parsed sit in
+    // rx_stage[rx_head, rx_tail); a frame's payload then streams into
+    // rx_dest.
+    std::vector<std::byte> rx_stage;
+    std::size_t rx_head = 0;
+    std::size_t rx_tail = 0;
     bool rx_in_payload = false;
     FrameHeader rx_frame{};
     std::size_t rx_payload_got = 0;
@@ -235,11 +250,11 @@ class Endpoint {
   void drive_until(const std::function<bool()>& done, const char* what);
   void handle_readable(int ci);
   void handle_writable(int ci);
-  void on_frame(int ci);         ///< header complete: route by kind
+  void parse_staged(int ci);     ///< route every whole frame in rx_stage
+  void on_frame(int ci, const std::byte* header);  ///< route by kind
   void finish_rx(int ci);        ///< payload complete
   void enqueue(int ci, const FrameHeader& h, rt::ConstView payload,
-               std::vector<std::byte> owned, std::uint32_t send_op,
-               std::uint64_t flow = 0);
+               std::uint32_t send_op, std::uint64_t flow = 0);
   void update_epoll(int ci);
   void conn_lost(int ci);
   /// Unexpected EOF/reset: the whole endpoint fails (every pending and
@@ -279,13 +294,16 @@ class Endpoint {
   bool fatal_ = false;
   std::string fatal_msg_;
 
-  // Observability: per-rail tx/rx byte and retry counters plus frame
-  // totals, registered once; the flight-recorder stream for this rank.
+  // Observability: per-rail tx/rx byte and retry counters plus frame and
+  // syscall totals, registered once; the flight-recorder stream for this
+  // rank.
   std::vector<obs::Counter*> rail_tx_;
   std::vector<obs::Counter*> rail_rx_;
   std::vector<obs::Counter*> rail_retry_;
   obs::Counter* frames_tx_ = nullptr;
   obs::Counter* frames_rx_ = nullptr;
+  obs::Counter* tx_calls_ = nullptr;
+  obs::Counter* rx_calls_ = nullptr;
   obs::Counter* eager_tx_ = nullptr;
   obs::Counter* rndv_tx_ = nullptr;
   obs::TraceRecorder* trace_rec_ = nullptr;

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <functional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/bootstrap.hpp"
+#include "net/endpoint.hpp"
 #include "net/net_comm.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -68,6 +73,30 @@ void run_net_threads(int n, const std::function<Task<void>(Comm&)>& body,
   for (const auto& e : errors) {
     if (e) {
       std::rethrow_exception(e);
+    }
+  }
+}
+
+/// Byte k of the i-th message of a stream: neighbouring messages differ at
+/// every offset, so a reordered, shifted or stale payload shows.
+std::byte stream_byte(int i, std::size_t k) {
+  return static_cast<std::byte>((static_cast<std::size_t>(i) * 131 + k * 7 +
+                                 k / 251) &
+                                0xFF);
+}
+
+void fill_stream(rt::MutView v, int i) {
+  for (std::size_t k = 0; k < v.len; ++k) {
+    v.ptr[k] = stream_byte(i, k);
+  }
+}
+
+void check_stream(rt::ConstView v, int i) {
+  for (std::size_t k = 0; k < v.len; ++k) {
+    if (v.ptr[k] != stream_byte(i, k)) {
+      throw std::runtime_error("message " + std::to_string(i) + " (" +
+                               std::to_string(v.len) + " B) corrupt at byte " +
+                               std::to_string(k));
     }
   }
 }
@@ -238,6 +267,167 @@ TEST(NetP2P, TruncationThrowsOnBothPaths) {
   });
 }
 
+TEST(NetP2P, FramingBoundariesOnOneAndThreeRails) {
+  // Payload sizes around every boundary of the receive path: the 48-byte
+  // header, the staging buffer (a frame that exactly fills it, or misses by
+  // one), eager payloads larger than a stage, the eager/rendezvous switch
+  // and a body striped over the rails.
+  constexpr std::size_t kHdr = net::kHeaderBytes;
+  constexpr std::size_t kStage = net::Endpoint::kRxStageBytes;
+  constexpr std::size_t kEagerMax = 40 * 1024;
+  constexpr std::size_t kStripeMin = 128 * 1024;
+  const std::vector<std::size_t> sizes = {0,
+                                         1,
+                                         kHdr - 1,
+                                         kHdr,
+                                         kHdr + 1,
+                                         kStage - kHdr - 1,
+                                         kStage - kHdr,
+                                         kStage - kHdr + 1,
+                                         kStage,
+                                         kStage + 1,
+                                         kEagerMax,
+                                         kEagerMax + 1,
+                                         kStripeMin + kStripeMin / 2 + 5};
+  std::vector<std::size_t> stream;
+  for (int copy = 0; copy < 3; ++copy) {
+    stream.insert(stream.end(), sizes.begin(), sizes.end());
+  }
+  std::shuffle(stream.begin(), stream.end(), std::mt19937(20261019));
+  // One truncated receive mid-stream: an eager frame spread over several
+  // staged reads lands in a 49-byte buffer, the rest goes to the discard
+  // sink, and the next message must still arrive intact.
+  const int trunc = static_cast<int>(stream.size()) / 2;
+  std::iter_swap(stream.begin() + trunc,
+                 std::find(stream.begin(), stream.end(), kStage + 1));
+  // Receives for the first part are posted before it is sent; the second
+  // part is sent later and parked unexpected. It opens with a burst of
+  // 1- and 3-byte frames longer than a stage, which the receiver reads in
+  // bulk, so a stage fill ends inside a header (16 KiB is not a multiple
+  // of 49 + 51) that differs from the one the stage began with.
+  const int preposted = trunc + 4;
+  std::vector<std::size_t> burst(400, 1);
+  for (std::size_t i = 1; i < burst.size(); i += 2) {
+    burst[i] = 3;
+  }
+  stream.insert(stream.begin() + preposted, burst.begin(), burst.end());
+  const int n = static_cast<int>(stream.size());
+  constexpr int kTag = 11;
+  constexpr int kCtlTag = 12;
+
+  for (int rails : {1, 3}) {
+    SCOPED_TRACE("rails=" + std::to_string(rails));
+    run_net_threads(
+        2,
+        [&](Comm& c) -> Task<void> {
+          if (c.rank() == 0) {
+            std::vector<Buffer> bufs;
+            std::vector<Request> reqs;
+            for (int i = 0; i < n; ++i) {
+              if (i == 0 || i == preposted) {
+                co_await c.recv(rt::MutView{}, 1, kCtlTag);  // go
+              }
+              bufs.push_back(Buffer::real(stream[static_cast<std::size_t>(i)]));
+              fill_stream(bufs.back().view(), i);
+              reqs.push_back(c.isend(bufs.back().view(), 1, kTag));
+            }
+            // Rail-0 FIFO: this arrives after every eager frame and RTS.
+            reqs.push_back(c.isend(rt::ConstView{}, 1, kCtlTag));
+            co_await c.wait_all(reqs);
+            co_return;
+          }
+          std::vector<Buffer> bufs;
+          std::vector<Request> reqs;
+          auto post = [&](int i) {
+            const std::size_t len =
+                i == trunc ? kHdr + 1 : stream[static_cast<std::size_t>(i)];
+            bufs.push_back(Buffer::real(len));
+            if (len > 0) {
+              std::memset(bufs.back().data(), 0xA5, len);
+            }
+            reqs.push_back(c.irecv(bufs.back().view(), 0, kTag));
+          };
+          auto finish = [&](int i) {
+            const std::size_t k = static_cast<std::size_t>(i);
+            bool threw = false;
+            try {
+              c.wait_try({&reqs[k], 1});
+            } catch (const std::runtime_error&) {
+              threw = true;
+            }
+            if (threw != (i == trunc)) {
+              throw std::runtime_error("message " + std::to_string(i) +
+                                       (threw ? " failed" : " not truncated"));
+            }
+            if (i != trunc) {
+              check_stream(bufs[k].view(), i);
+            }
+          };
+          for (int i = 0; i < preposted; ++i) {
+            post(i);
+          }
+          co_await c.send(rt::ConstView{}, 0, kCtlTag);
+          for (int i = 0; i < preposted; ++i) {
+            finish(i);
+          }
+          co_await c.send(rt::ConstView{}, 0, kCtlTag);
+          // Let the second part pile up in the socket, then read it all:
+          // every frame before the sender's marker is parked unexpected.
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          co_await c.recv(rt::MutView{}, 0, kCtlTag);
+          for (int i = preposted; i < n; ++i) {
+            post(i);
+            finish(i);
+          }
+        },
+        rails, kEagerMax, kStripeMin);
+  }
+}
+
+TEST(NetP2P, EagerRemainderSurvivesBufferReuse) {
+  // The sender floods 8 KiB eager messages at a receiver that does not
+  // read, overwriting its buffer right after every isend, until the kernel
+  // refuses bytes. Frames the kernel did not take must have kept their own
+  // copy of the unsent payload.
+  constexpr std::size_t kBytes = 8 * 1024;
+  constexpr int kCap = 8192;  // far past any loopback socket buffer
+  constexpr int kTag = 5;
+  std::atomic<int> flooded{-1};
+  run_net_threads(2, [&](Comm& c) -> Task<void> {
+    const auto& reg = obs::metrics();
+    Buffer b = Buffer::real(kBytes);
+    if (c.rank() == 0) {
+      const std::uint64_t retries0 =
+          reg.counter_value("net.rail.0.tx_retries");
+      int sent = 0;
+      int after_block = 4;  // a few whole frames queued behind the block
+      while (sent < kCap && after_block > 0) {
+        fill_stream(b.view(), sent);
+        (void)c.isend(b.view(), 1, kTag);  // eager: complete on return
+        std::memset(b.data(), 0xEE, kBytes);
+        ++sent;
+        if (reg.counter_value("net.rail.0.tx_retries") != retries0) {
+          --after_block;
+        }
+      }
+      flooded.store(sent);
+      if (after_block > 0) {
+        throw std::runtime_error("flood never filled the socket");
+      }
+      co_await c.recv(b.view(), 1, kTag + 1);  // flushes the queue
+      co_return;
+    }
+    while (flooded.load() < 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (int i = 0; i < flooded.load(); ++i) {
+      co_await c.recv(b.view(), 0, kTag);
+      check_stream(b.view(), i);
+    }
+    co_await c.send(b.view(), 0, kTag + 1);
+  });
+}
+
 TEST(NetP2P, SelfSend) {
   run_net_threads(2, [](Comm& c) -> Task<void> {
     Buffer s = Buffer::real(64);
@@ -350,6 +540,35 @@ TEST(NetObs, CountersAndBackendName) {
   });
   EXPECT_GT(reg.counter_value("net.eager_tx"), eager0);
   EXPECT_GT(reg.counter_value("net.frames_tx"), frames0);
+}
+
+TEST(NetObs, OneSyscallPerFrameInPingPong) {
+  const auto& reg = obs::metrics();
+  const std::uint64_t tx0 = reg.counter_value("net.tx_calls");
+  const std::uint64_t rx0 = reg.counter_value("net.rx_calls");
+  const std::uint64_t ftx0 = reg.counter_value("net.frames_tx");
+  const std::uint64_t frx0 = reg.counter_value("net.frames_rx");
+  constexpr int kRounds = 100;
+  run_net_threads(2, [](Comm& c) -> Task<void> {
+    Buffer b = Buffer::real(4);
+    const int peer = 1 - c.rank();
+    for (int i = 0; i < kRounds; ++i) {
+      if (c.rank() == 0) {
+        co_await c.send(b.view(), peer, 8);
+        co_await c.recv(b.view(), peer, 8);
+      } else {
+        co_await c.recv(b.view(), peer, 8);
+        co_await c.send(b.view(), peer, 8);
+      }
+    }
+  });
+  const std::uint64_t frames_tx = reg.counter_value("net.frames_tx") - ftx0;
+  const std::uint64_t frames_rx = reg.counter_value("net.frames_rx") - frx0;
+  EXPECT_GE(frames_tx, 2u * kRounds);
+  // Header and payload leave in one sendmsg, including the shutdown kByes.
+  EXPECT_EQ(reg.counter_value("net.tx_calls") - tx0, frames_tx);
+  // One read per frame, plus one EOF read per connection at shutdown.
+  EXPECT_LT(reg.counter_value("net.rx_calls") - rx0, 2 * frames_rx);
 }
 
 }  // namespace

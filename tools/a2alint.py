@@ -11,10 +11,11 @@ Checkers (each can be run alone with --only):
                 integer literal — both are how silent tag collisions (and
                 cross-matched messages) were introduced historically.
   msg-nosignal  Every socket write in src/net/ must go through ::send(...,
-                MSG_NOSIGNAL): a dead peer has to surface as EPIPE ->
-                conn_lost() -> runtime_error, not as a SIGPIPE that kills
-                the rank process. Bare ::write/::writev/::sendto/::sendmsg
-                on sockets are flagged too (no MSG_NOSIGNAL path).
+                MSG_NOSIGNAL) or ::sendmsg(..., MSG_NOSIGNAL): a dead peer
+                has to surface as EPIPE -> conn_lost() -> runtime_error,
+                not as a SIGPIPE that kills the rank process. Either call
+                without the flag is flagged, and so are bare ::write,
+                ::writev and ::sendto on sockets.
   env-knob      The process environment is read in exactly one place
                 (src/runtime/env.cpp); every other getenv() call is
                 flagged. Every `A2A_*` knob the code reads (a quoted
@@ -212,17 +213,18 @@ def check_msg_nosignal(root, files):
             fn = m.group(1)
             args, _ = call_args(text, m.end() - 1)
             line = line_of(text, m.start())
-            if fn == "send":
+            if fn in ("send", "sendmsg"):
                 if args is None or "MSG_NOSIGNAL" not in args:
                     findings.append(Finding(
                         "msg-nosignal", rel, line,
-                        "::send() without MSG_NOSIGNAL: a dead peer raises "
-                        "SIGPIPE and kills the rank process"))
+                        "::%s() without MSG_NOSIGNAL: a dead peer raises "
+                        "SIGPIPE and kills the rank process" % fn))
             else:
                 findings.append(Finding(
                     "msg-nosignal", rel, line,
-                    "::%s() on a net-backend fd: use ::send(..., "
-                    "MSG_NOSIGNAL) so peer death surfaces as EPIPE" % fn))
+                    "::%s() on a net-backend fd: use ::send() or "
+                    "::sendmsg() with MSG_NOSIGNAL so peer death surfaces "
+                    "as EPIPE" % fn))
     return findings
 
 
@@ -334,8 +336,9 @@ def run_checkers(root, only=None):
 def self_test(repo_root):
     """Run every checker against tools/lint_fixtures/<case>/ trees. Each
     case directory is a miniature repo; expect.txt lists one
-    `checker relative/path` pair per expected finding (empty = must be
-    clean)."""
+    `checker relative/path [count]` line per expected (checker, file) pair
+    (empty = must be clean); the optional count pins the exact number of
+    findings in that file."""
     fixtures = os.path.join(repo_root, "tools", "lint_fixtures")
     if not os.path.isdir(fixtures):
         print("a2alint self-test: missing %s" % fixtures, file=sys.stderr)
@@ -346,26 +349,36 @@ def self_test(repo_root):
         if not os.path.isdir(case_dir):
             continue
         expect_path = os.path.join(case_dir, "expect.txt")
-        expected = set()
+        expected = {}  # (checker, path) -> exact count, None = any
         if os.path.isfile(expect_path):
             for raw_line in read(expect_path).splitlines():
                 stripped = raw_line.strip()
                 if stripped and not stripped.startswith("#"):
-                    checker, rel = stripped.split()
-                    expected.add((checker, rel))
-        got = set()
+                    fields = stripped.split()
+                    expected[(fields[0], fields[1])] = (
+                        int(fields[2]) if len(fields) > 2 else None)
+        counts = {}
         for f in run_checkers(case_dir):
-            got.add((f.checker, f.path.replace(os.sep, "/")))
-        if got != expected:
+            key = (f.checker, f.path.replace(os.sep, "/"))
+            counts[key] = counts.get(key, 0) + 1
+        got = set(counts)
+        miscounted = sorted(k for k, n in expected.items()
+                            if n is not None and counts.get(k, 0) != n)
+        if got != set(expected) or miscounted:
             failures += 1
             print("self-test FAIL: %s" % case, file=sys.stderr)
-            for miss in sorted(expected - got):
+            for miss in sorted(set(expected) - got):
                 print("  missed expected finding: %s %s" % miss,
                       file=sys.stderr)
-            for extra in sorted(got - expected):
+            for extra in sorted(got - set(expected)):
                 print("  unexpected finding: %s %s" % extra, file=sys.stderr)
+            for key in miscounted:
+                if key in counts:
+                    print("  %s %s: %d finding(s), expected %d"
+                          % (key + (counts[key], expected[key])),
+                          file=sys.stderr)
         else:
-            print("self-test ok: %s (%d findings)" % (case, len(got)))
+            print("self-test ok: %s (%d findings)" % (case, sum(counts.values())))
     return 1 if failures else 0
 
 
