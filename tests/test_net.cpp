@@ -77,23 +77,17 @@ void run_net_threads(int n, const std::function<Task<void>(Comm&)>& body,
   }
 }
 
-/// Byte k of the i-th message of a stream: neighbouring messages differ at
-/// every offset, so a reordered, shifted or stale payload shows.
-std::byte stream_byte(int i, std::size_t k) {
-  return static_cast<std::byte>((static_cast<std::size_t>(i) * 131 + k * 7 +
-                                 k / 251) &
-                                0xFF);
-}
-
+/// The i-th message of a stream carries pattern(i, 0, .): neighbouring
+/// messages differ at every offset, so a reordered or stale payload shows.
 void fill_stream(rt::MutView v, int i) {
   for (std::size_t k = 0; k < v.len; ++k) {
-    v.ptr[k] = stream_byte(i, k);
+    v.ptr[k] = test::pattern(i, 0, k);
   }
 }
 
 void check_stream(rt::ConstView v, int i) {
   for (std::size_t k = 0; k < v.len; ++k) {
-    if (v.ptr[k] != stream_byte(i, k)) {
+    if (v.ptr[k] != test::pattern(i, 0, k)) {
       throw std::runtime_error("message " + std::to_string(i) + " (" +
                                std::to_string(v.len) + " B) corrupt at byte " +
                                std::to_string(k));
