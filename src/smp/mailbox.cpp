@@ -4,7 +4,6 @@
 #include <cstring>
 #include <map>
 #include <new>
-#include <stdexcept>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -25,7 +24,8 @@ struct SlotHeader {
   std::size_t bytes = 0;
   int tag = 0;
   bool has_data = false;
-  std::byte* heap = nullptr;  // owned when non-null; else payload is inline
+  const std::byte* lent = nullptr;  // sender's buffer; null: payload inline
+  SendCompletion lender{};
 };
 
 constexpr std::size_t align_up(std::size_t n, std::size_t a) {
@@ -79,7 +79,64 @@ std::byte* slot_payload(SlotHeader* s) {
   return reinterpret_cast<std::byte*>(s) + sizeof(SlotHeader);
 }
 
+/// View a published slot as an arrival; inline bytes stay in the slot
+/// (transient) until accept() or the stash copies them out.
+UnexpectedMsg slot_msg(int src, SlotHeader* s) {
+  UnexpectedMsg m;
+  m.src = src;
+  m.tag = s->tag;
+  m.bytes = s->bytes;
+  if (s->has_data) {
+    m.data = s->lent != nullptr ? s->lent : slot_payload(s);
+  }
+  m.lender = s->lender;
+  return m;
+}
+
+/// Give `m` its own copy of bytes that live in storage about to be reused
+/// (a ring slot, or the sender's buffer of a mutex-mode eager send). Lent
+/// payloads stay where they are until the receiver copies them once.
+void keep_bytes(UnexpectedMsg& m) {
+  if (m.data == nullptr || m.owned != nullptr ||
+      m.lender.done != nullptr) {
+    return;
+  }
+  m.owned.reset(new std::byte[m.bytes]);
+  std::memcpy(m.owned.get(), m.data, m.bytes);
+  m.data = m.owned.get();
+}
+
+/// Deliver `m` into the posted receive `r`: copy the payload (or flag
+/// truncation, the receiver's error like MPI_ERR_TRUNCATE, reported at its
+/// wait), complete `r`, then hand a lent buffer back to its sender. A
+/// truncated lent message is consumed too, so its sender never strands.
+void deliver(PostedRecv* r, const UnexpectedMsg& m) {
+  if (r->buf.len < m.bytes) {
+    r->error = true;
+  } else {
+    if (r->buf.ptr != nullptr && m.data != nullptr && m.bytes > 0) {
+      std::memcpy(r->buf.ptr, m.data, m.bytes);
+    }
+    r->received = m.bytes;
+  }
+  r->complete.store(true, std::memory_order_release);
+  if (m.lender.done != nullptr) {
+    m.lender.complete();
+  }
+}
+
 }  // namespace
+
+void SendCompletion::complete() const {
+  // The release store orders the receiver's copy before the sender's
+  // reuse of its buffer; the counter bump (release, read by the owner's
+  // epoch() with acquire) follows it, so an owner that observes the new
+  // epoch also observes the flag. Nothing here touches the sender's
+  // request after the store: the sender may recycle it at once.
+  done->store(true, std::memory_order_release);
+  home->send_completions_.fetch_add(1, std::memory_order_release);
+  home->ring_doorbell();
+}
 
 MailboxConfig MailboxConfig::from_env() {
   static constexpr std::string_view kKinds[] = {"ring", "mutex"};
@@ -107,17 +164,10 @@ Mailbox::Mailbox(int comm_size, const MailboxConfig& cfg)
 }
 
 Mailbox::~Mailbox() {
+  // Slots own no payload (inline bytes, or a lent pointer), so an
+  // undrained lane needs no per-slot cleanup.
   for (auto& lp : lanes_) {
-    Lane* lane = lp.load(std::memory_order_acquire);
-    if (lane == nullptr) {
-      continue;
-    }
-    const std::uint64_t t = lane->tail.load(std::memory_order_acquire);
-    for (std::uint64_t h = lane->head.load(std::memory_order_relaxed); h != t;
-         ++h) {
-      delete[] lane->slot(stride_, cfg_.ring_slots, h)->heap;
-    }
-    delete lane;
+    delete lp.load(std::memory_order_acquire);
   }
 }
 
@@ -133,10 +183,17 @@ Mailbox::Lane& Mailbox::lane_for_send(int src) {
   return *lane;
 }
 
-void Mailbox::send(int src, int tag, rt::ConstView payload) {
+void Mailbox::send(int src, int tag, rt::ConstView payload,
+                   SendCompletion lender) {
+  const bool has_data = payload.ptr != nullptr && payload.len > 0;
   if (cfg_.kind == MailboxKind::kMutex) {
+    UnexpectedMsg m;
+    m.src = src;
+    m.tag = tag;
+    m.bytes = payload.len;
+    m.data = has_data ? payload.ptr : nullptr;
     std::lock_guard<std::mutex> lock(mu_);
-    if (accept(src, tag, payload, nullptr)) {
+    if (accept(std::move(m))) {
       mutex_epoch_.fetch_add(1, std::memory_order_relaxed);
       cv_.notify_all();
     }
@@ -151,35 +208,29 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
     s->seq = seq;
     s->tag = tag;
     s->bytes = payload.len;
-    s->has_data = payload.ptr != nullptr && payload.len > 0;
-    s->heap = nullptr;
-    if (s->has_data) {
-      if (payload.len <= cfg_.ring_inline) {
-        std::memcpy(slot_payload(s), payload.ptr, payload.len);
-      } else {
-        s->heap = new std::byte[payload.len];
-        std::memcpy(s->heap, payload.ptr, payload.len);
-      }
+    s->has_data = has_data;
+    s->lent = lender.done != nullptr ? payload.ptr : nullptr;
+    s->lender = lender;
+    if (has_data && s->lent == nullptr) {
+      std::memcpy(slot_payload(s), payload.ptr, payload.len);
     }
     lane.tail.store(t + 1, std::memory_order_release);
     static obs::Counter& g_ring =
         obs::metrics().counter("smp.mailbox.ring_sends");
     g_ring.add();
   } else {
-    // Lane full: eager semantics forbid blocking (both peers of an
-    // exchange may send before either receives), so spill to the
-    // unbounded overflow list. The seq stamp lets the consumer restore
-    // per-pair order.
+    // Lane full: publishing must never block (both peers of an exchange
+    // may send before either receives), so spill to the unbounded
+    // overflow list. The seq stamp lets the consumer restore per-pair
+    // order.
     OverflowMsg m;
-    m.src = src;
-    m.tag = tag;
     m.seq = seq;
-    m.bytes = payload.len;
-    m.has_data = payload.ptr != nullptr && payload.len > 0;
-    if (m.has_data) {
-      m.data.reset(new std::byte[payload.len]);
-      std::memcpy(m.data.get(), payload.ptr, payload.len);
-    }
+    m.msg.src = src;
+    m.msg.tag = tag;
+    m.msg.bytes = payload.len;
+    m.msg.data = has_data ? payload.ptr : nullptr;
+    m.msg.lender = lender;
+    keep_bytes(m.msg);
     {
       std::lock_guard<std::mutex> lk(overflow_mu_);
       overflow_.push_back(std::move(m));
@@ -188,6 +239,11 @@ void Mailbox::send(int src, int tag, rt::ConstView payload) {
     static obs::Counter& g_over =
         obs::metrics().counter("smp.mailbox.overflow_sends");
     g_over.add();
+  }
+  if (lender.done != nullptr) {
+    static obs::Counter& g_rndv =
+        obs::metrics().counter("smp.mailbox.rndv_sends");
+    g_rndv.add();
   }
   ring_doorbell();
 }
@@ -210,10 +266,10 @@ void Mailbox::ring_doorbell() {
   wake_cv_.notify_all();
 }
 
-bool Mailbox::match_posted(int src, int tag, rt::ConstView payload) {
+bool Mailbox::match_posted(const UnexpectedMsg& m) {
   auto it = std::find_if(posted_.begin(), posted_.end(), [&](PostedRecv* r) {
-    const bool src_ok = r->src == rt::kAnySource || r->src == src;
-    const bool tag_ok = r->tag == rt::kAnyTag || r->tag == tag;
+    const bool src_ok = r->src == rt::kAnySource || r->src == m.src;
+    const bool tag_ok = r->tag == rt::kAnyTag || r->tag == m.tag;
     return src_ok && tag_ok;
   });
   if (it == posted_.end()) {
@@ -221,55 +277,32 @@ bool Mailbox::match_posted(int src, int tag, rt::ConstView payload) {
   }
   PostedRecv* r = *it;
   posted_.erase(it);
-  if (r->buf.len < payload.len) {
-    // Truncation is the receiver's error (like MPI_ERR_TRUNCATE): flag it
-    // so the receiver's wait throws, rather than failing in this thread.
-    r->error = true;
-    r->complete.store(true, std::memory_order_release);
-    return true;
-  }
-  if (r->buf.ptr != nullptr && payload.ptr != nullptr && payload.len > 0) {
-    std::memcpy(r->buf.ptr, payload.ptr, payload.len);
-  }
-  r->received = payload.len;
-  r->complete.store(true, std::memory_order_release);
+  deliver(r, m);
   return true;
 }
 
-bool Mailbox::accept(int src, int tag, rt::ConstView payload,
-                     std::unique_ptr<std::byte[]> owned) {
+bool Mailbox::accept(UnexpectedMsg&& m) {
   // Receive-side stitching: the arrival enters matching order here, on the
   // owner thread — the semantic receive point, mirroring the sender's
   // per-(dst, tag) counter (zero-byte and self messages skip both ends).
   obs::Span rx_span;
-  if (trace_.tracer != nullptr && payload.len > 0 && src != trace_.owner) {
-    const std::uint64_t seq = flow_rx_seq_[{src, tag}]++;
+  if (trace_.tracer != nullptr && m.bytes > 0 && m.src != trace_.owner) {
+    const std::uint64_t seq = flow_rx_seq_[{m.src, m.tag}]++;
     const std::uint64_t id = obs::flow_id(
-        trace_.comm_key, (*trace_.world_ranks)[static_cast<std::size_t>(src)],
-        (*trace_.world_ranks)[static_cast<std::size_t>(trace_.owner)], tag,
+        trace_.comm_key,
+        (*trace_.world_ranks)[static_cast<std::size_t>(m.src)],
+        (*trace_.world_ranks)[static_cast<std::size_t>(trace_.owner)], m.tag,
         seq);
     rx_span = obs::Span(trace_.tracer, "smp.recv", "smp", 0,
-                        {{"bytes", static_cast<std::int64_t>(payload.len)},
-                         {"src", src},
-                         {"tag", tag}});
+                        {{"bytes", static_cast<std::int64_t>(m.bytes)},
+                         {"src", m.src},
+                         {"tag", m.tag}});
     trace_.tracer->flow_end(id, 0);
   }
-  if (match_posted(src, tag, payload)) {
+  if (match_posted(m)) {
     return true;
   }
-  UnexpectedMsg m;
-  m.src = src;
-  m.tag = tag;
-  m.bytes = payload.len;
-  m.has_data = payload.ptr != nullptr && payload.len > 0;
-  if (m.has_data) {
-    if (owned != nullptr) {
-      m.data = std::move(owned);
-    } else {
-      m.data.reset(new std::byte[payload.len]);
-      std::memcpy(m.data.get(), payload.ptr, payload.len);
-    }
-  }
+  keep_bytes(m);
   arrived_.push_back(std::move(m));
   return false;
 }
@@ -284,15 +317,9 @@ void Mailbox::drain_overflow() {
   for (OverflowMsg& m : taken) {
     // The producer created its lane before it could ever overflow, and
     // the overflow mutex carries the happens-before to us.
-    Lane* lane = lanes_[static_cast<std::size_t>(m.src)].load(
+    Lane* lane = lanes_[static_cast<std::size_t>(m.msg.src)].load(
         std::memory_order_acquire);
-    UnexpectedMsg u;
-    u.src = m.src;
-    u.tag = m.tag;
-    u.bytes = m.bytes;
-    u.has_data = m.has_data;
-    u.data = std::move(m.data);
-    lane->stash.emplace(m.seq, std::move(u));
+    lane->stash.emplace(m.seq, std::move(m.msg));
   }
 }
 
@@ -304,11 +331,7 @@ void Mailbox::pump_lane(int src, Lane& lane) {
       UnexpectedMsg u = std::move(it->second);
       lane.stash.erase(it);
       ++lane.next_take;
-      // Evaluate the view before the unique_ptr argument is constructed:
-      // argument evaluation order is unspecified and moving `u.data` first
-      // would hand accept() a null payload.
-      const rt::ConstView payload = u.view();
-      accept(src, u.tag, payload, std::move(u.data));
+      accept(std::move(u));
       continue;
     }
     const std::uint64_t h = lane.head.load(std::memory_order_relaxed);
@@ -316,36 +339,19 @@ void Mailbox::pump_lane(int src, Lane& lane) {
       return;
     }
     SlotHeader* s = lane.slot(stride_, cfg_.ring_slots, h);
+    UnexpectedMsg m = slot_msg(src, s);
     if (s->seq == lane.next_take) {
       ++lane.next_take;
-      const rt::ConstView payload{
-          s->has_data ? (s->heap != nullptr ? s->heap : slot_payload(s))
-                      : nullptr,
-          s->bytes};
-      std::unique_ptr<std::byte[]> owned(s->heap);
-      s->heap = nullptr;
-      // Matching copies straight out of the slot; only then is the slot
-      // released back to the producer.
-      accept(src, s->tag, payload, std::move(owned));
-      lane.head.store(h + 1, std::memory_order_release);
+      // Matching copies straight out of the slot (or the lent buffer);
+      // only then is the slot released back to the producer.
+      accept(std::move(m));
     } else {
       // A predecessor is still in the overflow list: set this slot aside
       // (reorder stash) so the producer regains ring space either way.
-      UnexpectedMsg u;
-      u.src = src;
-      u.tag = s->tag;
-      u.bytes = s->bytes;
-      u.has_data = s->has_data;
-      if (s->heap != nullptr) {
-        u.data.reset(s->heap);
-        s->heap = nullptr;
-      } else if (u.has_data) {
-        u.data.reset(new std::byte[s->bytes]);
-        std::memcpy(u.data.get(), slot_payload(s), s->bytes);
-      }
-      lane.stash.emplace(s->seq, std::move(u));
-      lane.head.store(h + 1, std::memory_order_release);
+      keep_bytes(m);
+      lane.stash.emplace(s->seq, std::move(m));
     }
+    lane.head.store(h + 1, std::memory_order_release);
   }
 }
 
@@ -378,6 +384,8 @@ bool Mailbox::post_or_match(PostedRecv* r) {
   if (cfg_.kind == MailboxKind::kMutex) {
     lock.lock();
   }
+  r->error = false;
+  r->received = 0;
   auto it = std::find_if(
       arrived_.begin(), arrived_.end(), [&](const UnexpectedMsg& m) {
         const bool src_ok = r->src == rt::kAnySource || r->src == m.src;
@@ -385,31 +393,20 @@ bool Mailbox::post_or_match(PostedRecv* r) {
         return src_ok && tag_ok;
       });
   if (it != arrived_.end()) {
-    if (r->buf.len < it->bytes) {
-      throw std::runtime_error(
-          "message truncation: receive buffer smaller than incoming message");
-    }
-    const rt::ConstView payload = it->view();
-    if (r->buf.ptr != nullptr && payload.ptr != nullptr && payload.len > 0) {
-      std::memcpy(r->buf.ptr, payload.ptr, payload.len);
-    }
-    r->received = it->bytes;
-    r->complete.store(true, std::memory_order_release);
+    const UnexpectedMsg m = std::move(*it);
     arrived_.erase(it);
+    deliver(r, m);
     return true;
   }
   r->post_seq = next_post_seq_++;
-  r->error = false;
-  r->received = 0;
   r->complete.store(false, std::memory_order_relaxed);
   posted_.push_back(r);
   return false;
 }
 
 std::uint64_t Mailbox::epoch() const {
-  return cfg_.kind == MailboxKind::kMutex
-             ? mutex_epoch_.load(std::memory_order_acquire)
-             : 0;
+  return (cfg_.kind == MailboxKind::kMutex ? mutex_epoch_ : send_completions_)
+      .load(std::memory_order_acquire);
 }
 
 bool Mailbox::arrivals_visible() const {
@@ -454,7 +451,8 @@ void Mailbox::idle(std::uint64_t observed_epoch, int& spins) {
   std::unique_lock<std::mutex> lk(wake_mu_);
   sleepers_.fetch_add(1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (!arrivals_visible()) {
+  if (!arrivals_visible() &&
+      send_completions_.load(std::memory_order_relaxed) == observed_epoch) {
     const std::uint64_t e = wake_epoch_;
     wake_cv_.wait(lk, [&] { return wake_epoch_ != e; });
   }

@@ -2,9 +2,9 @@
 /// \file mailbox.hpp
 /// Matching queues for the shared-memory backend.
 ///
-/// Every (communicator, rank) pair owns one Mailbox. Two interchangeable
-/// transports sit behind the same matching semantics, selected per cluster
-/// by `A2A_SMP_MAILBOX` (see MailboxConfig):
+/// Every (communicator, rank) pair owns one Mailbox. Two transports sit
+/// behind the same matching semantics, selected per cluster by
+/// `A2A_SMP_MAILBOX` (see MailboxConfig):
 ///
 ///  * `ring` (default) — one bounded lock-free SPSC ring per source rank.
 ///    A lane belongs to exactly one (src, dst, comm) triple, so the
@@ -12,18 +12,22 @@
 ///    the producer is src's rank thread, the consumer is the owning
 ///    rank's thread. Producers publish with a release store of the tail
 ///    index, consumers acquire it; head mirrors the protocol in the other
-///    direction (Lamport ring). When a lane is full the sender falls back
-///    to a mutex-guarded unbounded overflow list — sends stay eager and
-///    never block, which the backend's buffered-send semantics require
-///    (both peers of a pairwise exchange may send before either
-///    receives). Every message carries a per-lane sequence number; the
-///    consumer merges ring and overflow arrivals back into strict
-///    per-pair order before matching, so FIFO and non-overtaking survive
-///    the two-path transport.
+///    direction (Lamport ring). A payload of at most `ring_inline` bytes
+///    is copied into the slot and the send completes at once (eager). A
+///    larger payload is *lent*: the slot carries the sender's pointer, the
+///    length and a completion flag, the receiver copies straight from the
+///    sender's buffer into the posted receive, and then release-stores the
+///    flag, which completes the sender's request (single copy, no
+///    allocation). When a lane is full the sender falls back to a
+///    mutex-guarded unbounded overflow list, so publishing never blocks.
+///    Every message carries a per-lane sequence number; the consumer
+///    merges ring and overflow arrivals back into strict per-pair order
+///    before matching, so FIFO and non-overtaking survive the two-path
+///    transport.
 ///
 ///  * `mutex` — the original mutex-per-mailbox design, kept as the
 ///    baseline the thread-scaling bench and the ordering property tests
-///    compare against.
+///    compare against. Every send is eager there.
 ///
 /// Matching state (posted receives, unmatched arrivals) is owned by the
 /// receiving rank's thread and, in ring mode, is touched by no one else:
@@ -31,15 +35,19 @@
 /// (source, tag) with wildcards, FIFO among eligible candidates, and
 /// non-overtaking delivery between a fixed pair of ranks.
 ///
-/// Sleep/wake contract (ring mode): a receiver that has spun without
-/// progress parks on the mailbox doorbell. The sender's publish and the
-/// receiver's registration are separated by seq_cst fences in the Dekker
-/// pattern — after both fences, either the sender observes `sleepers_ != 0`
-/// (and rings the doorbell under the wake mutex) or the receiver observes
-/// the published arrival during its pre-sleep recheck. Payload
-/// happens-before never relies on those fences; it rides entirely on the
-/// ring's release/release index pair (or the overflow mutex), which is
-/// what keeps the design TSan-provable.
+/// Sleep/wake contract (ring mode): a rank that has spun without progress
+/// parks on its mailbox doorbell. Two events ring it: a sender publishing
+/// an arrival, and a receiver completing one of the owner's lent sends
+/// (which first bumps the mailbox's completion counter, the ring-mode
+/// epoch()). The publish and the sleeper's registration are separated by
+/// seq_cst fences in the Dekker pattern — after both fences, either the
+/// publisher observes `sleepers_ != 0` (and rings the doorbell under the
+/// wake mutex) or the sleeper observes the arrival or the moved epoch in
+/// its pre-sleep recheck. Payload happens-before never relies on those
+/// fences: it rides on the ring's release/acquire index pair (or the
+/// overflow mutex) towards the receiver, and on the completion flag's
+/// release/acquire pair back to the sender, which is what keeps the
+/// design TSan-provable.
 
 #include <atomic>
 #include <condition_variable>
@@ -82,8 +90,8 @@ struct MailboxConfig {
   MailboxKind kind = MailboxKind::kRing;
   /// SPSC ring capacity in messages, per (src, dst, comm) lane.
   std::uint32_t ring_slots = 64;
-  /// Payload bytes stored inline in a ring slot; larger messages travel
-  /// as a heap block whose ownership passes through the ring.
+  /// Payload bytes stored inline in a ring slot (eager); larger payloads
+  /// are lent and copied once by the receiver (0 = every payload is lent).
   std::uint32_t ring_inline = 256;
   /// Receiver poll iterations without progress before it parks on the
   /// doorbell (0 = park immediately; oversubscribed runs want it small).
@@ -94,10 +102,12 @@ struct MailboxConfig {
   static MailboxConfig from_env();
 };
 
-/// A receive posted by the owning rank, waiting for a matching message.
-/// `complete` is the only cross-thread field in ring mode (and pairs
-/// release/acquire with `error`/`received`, written before the release
-/// store); in mutex mode the delivering sender writes all three.
+/// One request of an SmpComm. As a receive posted by the owning rank it
+/// waits for a matching message; as a lent send only `complete` is used,
+/// set by the receiver once it has copied the payload. `complete` is the
+/// only cross-thread field in ring mode (and pairs release/acquire with
+/// `error`/`received`, written before the release store); in mutex mode
+/// the delivering sender writes all three.
 struct PostedRecv {
   rt::MutView buf{};
   int src = 0;  // rank in comm or rt::kAnySource
@@ -110,17 +120,30 @@ struct PostedRecv {
   bool in_use = false;
 };
 
-/// A message parked before its receive was posted (payload owned).
+class Mailbox;
+
+/// The sender's side of a lent payload: the receiver release-stores
+/// `*done` once it has copied the bytes (or dropped them on truncation),
+/// then wakes `home`, the sender's own mailbox, in case it parked there.
+struct SendCompletion {
+  std::atomic<bool>* done = nullptr;  ///< null: eager payload, nothing lent
+  Mailbox* home = nullptr;
+
+  /// Receiver side: hand the buffer back and wake its owner.
+  void complete() const;
+};
+
+/// One arrival on its way into matching order, or parked before its
+/// receive was posted. `data` points into a ring slot (transient), into
+/// `owned` (an eager copy), or into the sender's buffer (lent, with
+/// `lender` set); null means a virtual payload or zero bytes.
 struct UnexpectedMsg {
   int src = 0;
   int tag = 0;
-  std::size_t bytes = 0;    // logical size
-  bool has_data = false;    // false: virtual payload (or zero bytes)
-  std::unique_ptr<std::byte[]> data;  // bytes long when has_data
-
-  rt::ConstView view() const noexcept {
-    return rt::ConstView{has_data ? data.get() : nullptr, bytes};
-  }
+  std::size_t bytes = 0;  // logical size
+  const std::byte* data = nullptr;
+  std::unique_ptr<std::byte[]> owned;
+  SendCompletion lender{};
 };
 
 /// Matching state for one rank within one communicator.
@@ -132,10 +155,13 @@ class Mailbox {
   Mailbox& operator=(const Mailbox&) = delete;
 
   /// Producer side, called from `src`'s rank thread: enqueue a message.
-  /// Never blocks (eager buffered semantics). Ring mode publishes into
-  /// the lane ring or, when full, the overflow list; mutex mode matches
-  /// a posted receive directly (copying payload) or parks it unexpected.
-  void send(int src, int tag, rt::ConstView payload);
+  /// Never blocks. Ring mode publishes into the lane ring or, when full,
+  /// the overflow list; mutex mode matches a posted receive directly
+  /// (copying payload) or parks a copy unexpected. With `lender` set
+  /// (ring mode only) the payload is lent: it must stay valid, unchanged,
+  /// until the receiver completes `*lender.done`.
+  void send(int src, int tag, rt::ConstView payload,
+            SendCompletion lender = {});
 
   /// Owner side: pull every visible arrival into matching state,
   /// completing posted receives in order. No-op in mutex mode (senders
@@ -144,19 +170,21 @@ class Mailbox {
 
   /// Owner side: drain, then match `r` against an already-arrived
   /// message (copy payload, mark complete, return true) or append it to
-  /// the posted list (return false). Throws on truncation of an
-  /// already-arrived message — the caller is the receiver.
+  /// the posted list (return false). A truncated match consumes the
+  /// message and completes `r` with `error` set, reported at the
+  /// receiver's wait, exactly as a truncated delivery to a posted receive.
   bool post_or_match(PostedRecv* r);
 
   /// Owner side: wake-epoch observation for idle(); capture it *before*
   /// checking completion flags so a completion delivered in between
-  /// cannot be slept through. Ring mode has no epoch (returns 0 — its
-  /// idle() rechecks arrivals instead).
+  /// cannot be slept through. Mutex mode counts deliveries; ring mode
+  /// counts completions of this owner's lent sends (its idle() rechecks
+  /// arrivals separately).
   std::uint64_t epoch() const;
 
   /// Owner side: one pause of the wait loop. Spins/yields for the
   /// configured budget, then parks on the doorbell until a sender
-  /// publishes (ring) or the epoch moves past `observed_epoch` (mutex).
+  /// publishes (ring) or the epoch moves past `observed_epoch`.
   /// `spins` is the caller's running idle-poll counter.
   void idle(std::uint64_t observed_epoch, int& spins);
 
@@ -175,20 +203,16 @@ class Mailbox {
   bool arrivals_visible() const;
   void ring_doorbell();
   /// Enter one arrival into matching order: complete the first eligible
-  /// posted receive (true), or park it (false). `owned` transfers payload
-  /// ownership when the caller already holds a heap block.
-  bool accept(int src, int tag, rt::ConstView payload,
-              std::unique_ptr<std::byte[]> owned);
-  bool match_posted(int src, int tag, rt::ConstView payload);
+  /// posted receive (true), or park it (false), copying transient bytes.
+  bool accept(UnexpectedMsg&& m);
+  bool match_posted(const UnexpectedMsg& m);
 
   struct OverflowMsg {
-    int src = 0;
-    int tag = 0;
     std::uint64_t seq = 0;
-    std::size_t bytes = 0;
-    bool has_data = false;
-    std::unique_ptr<std::byte[]> data;
+    UnexpectedMsg msg;
   };
+
+  friend struct SendCompletion;
 
   MailboxConfig cfg_;
   int comm_size_ = 0;
@@ -208,6 +232,8 @@ class Mailbox {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   std::uint64_t wake_epoch_ = 0;  // guarded by wake_mu_
+  /// Completions of the owner's lent sends; bumped by their receivers.
+  std::atomic<std::uint64_t> send_completions_{0};
 
   // --- mutex transport --------------------------------------------------
   std::mutex mu_;

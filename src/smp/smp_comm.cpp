@@ -104,7 +104,11 @@ std::uint32_t SmpCluster::intern_comm(std::vector<int> world_ranks,
 
 SmpComm::SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank,
                  int size)
-    : rt::Comm(rank, size), cluster_(&cluster) {
+    : rt::Comm(rank, size),
+      cluster_(&cluster),
+      eager_max_(cluster.mailbox_cfg_.kind == MailboxKind::kRing
+                     ? cluster.mailbox_cfg_.ring_inline
+                     : SIZE_MAX) {
   // Resolve the registry entry once, under the same mutex intern_comm
   // appends under; afterwards the message path never touches comms_.
   std::lock_guard<std::mutex> lock(cluster.registry_mu_);
@@ -129,35 +133,37 @@ rt::Request SmpComm::isend(rt::ConstView buf, int dst, int tag) {
   if (tag < 0) {
     throw std::invalid_argument("isend: tag must be >= 0");
   }
+  // Payloads above the inline budget are lent, not copied: the receiver
+  // copies them once, straight into its posted receive, and completes
+  // this request when done. Small, self and virtual payloads stay eager;
+  // an invalid Request denotes "already complete" and wait_try skips it.
+  rt::Request req{};
+  SendCompletion lender{};
+  if (buf.ptr != nullptr && buf.len > eager_max_ && dst != rank_) {
+    req = take_op();
+    lender = {&ops_[req.slot].complete, &mailbox(rank_)};
+  }
+  obs::Span sp;
   if (flow_comm_key_ != 0 && buf.len > 0 && dst != rank_) {
-    // Arrow source inside an smp.send span; the receiving mailbox derives
-    // the identical id at accept() time from its mirrored counter.
+    // Arrow source inside an smp.send span (closed after the publish); the
+    // receiving mailbox derives the identical id at accept() time from its
+    // mirrored counter.
     const std::uint64_t seq = flow_tx_seq_[{dst, tag}]++;
     const std::uint64_t id = obs::flow_id(
         flow_comm_key_, world_rank(),
         entry_->world_ranks[static_cast<std::size_t>(dst)], tag, seq);
     obs::TraceBuffer* tb = tracer();
-    obs::Span sp(tb, "smp.send", "smp", 0,
-                 {{"bytes", static_cast<std::int64_t>(buf.len)},
-                  {"dst", dst},
-                  {"tag", tag}});
+    sp = obs::Span(tb, "smp.send", "smp", 0,
+                   {{"bytes", static_cast<std::int64_t>(buf.len)},
+                    {"dst", dst},
+                    {"tag", tag}});
     tb->flow_start(id, 0);
-    mailbox(dst).send(rank_, tag, buf);
-    return rt::Request{};
   }
-  mailbox(dst).send(rank_, tag, buf);
-  // Eager buffered semantics: the send is complete on return. An invalid
-  // Request denotes "already complete" and is skipped by wait_try.
-  return rt::Request{};
+  mailbox(dst).send(rank_, tag, buf, lender);
+  return req;
 }
 
-rt::Request SmpComm::irecv(rt::MutView buf, int src, int tag) {
-  if (src != rt::kAnySource && (src < 0 || src >= size_)) {
-    throw std::out_of_range("irecv: source rank out of range");
-  }
-  if (tag != rt::kAnyTag && tag < 0) {
-    throw std::invalid_argument("irecv: tag must be >= 0 or kAnyTag");
-  }
+rt::Request SmpComm::take_op() {
   std::uint32_t slot;
   if (!free_ops_.empty()) {
     slot = free_ops_.back();
@@ -167,14 +173,27 @@ rt::Request SmpComm::irecv(rt::MutView buf, int src, int tag) {
     ops_.emplace_back();
   }
   PostedRecv& op = ops_[slot];
-  op.buf = buf;
-  op.src = src;
-  op.tag = tag;
   op.error = false;
   op.received = 0;
   op.in_use = true;
-  mailbox(rank_).post_or_match(&op);
+  op.complete.store(false, std::memory_order_relaxed);
   return rt::Request{slot, op.serial};
+}
+
+rt::Request SmpComm::irecv(rt::MutView buf, int src, int tag) {
+  if (src != rt::kAnySource && (src < 0 || src >= size_)) {
+    throw std::out_of_range("irecv: source rank out of range");
+  }
+  if (tag != rt::kAnyTag && tag < 0) {
+    throw std::invalid_argument("irecv: tag must be >= 0 or kAnyTag");
+  }
+  const rt::Request req = take_op();
+  PostedRecv& op = ops_[req.slot];
+  op.buf = buf;
+  op.src = src;
+  op.tag = tag;
+  mailbox(rank_).post_or_match(&op);
+  return req;
 }
 
 PostedRecv& SmpComm::op_checked(const rt::Request& r) {
@@ -190,9 +209,11 @@ PostedRecv& SmpComm::op_checked(const rt::Request& r) {
 
 bool SmpComm::wait_try(std::span<const rt::Request> reqs) {
   // Poll loop: drain this rank's mailbox (ring arrivals complete posted
-  // receives here, on the owner thread), check the completion flags, and
-  // pause when nothing moved. The epoch is observed *before* the check so
-  // a mutex-mode delivery racing the check cannot be slept through.
+  // receives here, on the owner thread), check the completion flags —
+  // receivers set those of lent sends from their own threads — and pause
+  // when nothing moved. The epoch is observed *before* the check so a
+  // delivery (mutex) or send completion (ring) racing the check cannot be
+  // slept through.
   Mailbox& mb = mailbox(rank_);
   int spins = 0;
   for (;;) {

@@ -4,11 +4,17 @@
 ///
 /// Each rank is an OS thread; messages move through per-(src,dst,comm)
 /// lock-free SPSC ring mailboxes (or the mutex-guarded baseline — see
-/// mailbox.hpp and MailboxConfig) with eager (buffered) semantics: sends
-/// never block, receives block until a matching message is delivered. This
-/// is the backend a downstream user runs on a single many-core box — the
-/// actual deployment target of the paper's intra-node optimizations — and
-/// the backend all correctness tests validate byte-for-byte.
+/// mailbox.hpp and MailboxConfig). A payload of at most `ring_inline`
+/// bytes is sent eagerly: isend copies it into the ring and is complete on
+/// return. A larger one is sent single-copy (rendezvous): isend lends the
+/// buffer and returns a real Request, which completes once the receiver
+/// has copied the bytes straight into its posted receive — the same
+/// semantics as net sends above `A2A_NET_EAGER`. The mutex transport keeps
+/// every send eager. Receives block until a matching message is
+/// delivered. This is the backend a downstream user runs on a single
+/// many-core box — the actual deployment target of the paper's intra-node
+/// optimizations — and the backend all correctness tests validate
+/// byte-for-byte.
 
 #include <chrono>
 #include <cstdint>
@@ -127,6 +133,8 @@ class SmpComm final : public rt::Comm {
 
  private:
   Mailbox& mailbox(int rank_in_comm) const;
+  /// Reserve a pool entry for a new request (in use, not complete).
+  rt::Request take_op();
   PostedRecv& op_checked(const rt::Request& r);
 
   SmpCluster* cluster_;
@@ -136,8 +144,11 @@ class SmpComm final : public rt::Comm {
   /// it — the deque's internal block map may be reallocating. Every
   /// message-path access goes through this pointer instead.
   SmpCluster::CommEntry* entry_;
-  // Receive-op pool (sends complete eagerly and need no slot). deque keeps
-  // addresses stable while mailboxes hold PostedRecv pointers.
+  /// Largest payload sent eagerly; larger ones are lent (ring transport).
+  std::size_t eager_max_;
+  // Request pool: receives and lent sends (eager sends need no slot).
+  // deque keeps addresses stable while mailboxes and in-flight lent
+  // payloads hold pointers into it.
   std::deque<PostedRecv> ops_;
   std::vector<std::uint32_t> free_ops_;
 

@@ -12,8 +12,11 @@
 /// first-eligible matching over that order is fully predictable. The tests
 /// quiesce with a std::barrier between the send and receive phases and pin
 /// the predicted match order for every seeded script, on the default ring
-/// and on deliberately tiny rings that force the overflow and heap-payload
-/// paths. Mutex-mode arrival order is send-interleaving order
+/// and on deliberately tiny rings that force the overflow path and lent
+/// (single-copy) payloads, with receives posted both before the sends and
+/// after them. Senders hold their requests across the quiesce barrier and
+/// wait only after the receives, since a lent send completes only when
+/// rank 0 copies it. Mutex-mode arrival order is send-interleaving order
 /// (nondeterministic across sources), so for that transport the same
 /// floods assert completeness and per-source FIFO only.
 
@@ -24,6 +27,7 @@
 #include <barrier>
 #include <cstddef>
 #include <random>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -59,7 +63,9 @@ struct ScriptRecv {
 
 struct Script {
   std::vector<std::vector<ScriptMsg>> sends;  ///< indexed by source rank
-  std::vector<ScriptRecv> recvs;
+  std::vector<ScriptRecv> early;  ///< posted before any send
+  std::vector<ScriptMsg> expect_early;
+  std::vector<ScriptRecv> recvs;  ///< posted after the sends quiesced
   std::vector<ScriptMsg> expect;  ///< oracle-predicted match order
 };
 
@@ -68,42 +74,72 @@ bool eligible(const ScriptRecv& r, const ScriptMsg& m) {
          (r.tag == rt::kAnyTag || r.tag == m.tag);
 }
 
+/// A random specific/wildcard receive that `aim` satisfies.
+ScriptRecv aimed_recv(std::mt19937& rng, const ScriptMsg& aim) {
+  switch (rng() % 4) {
+    case 0:
+      return {rt::kAnySource, rt::kAnyTag};
+    case 1:
+      return {aim.src, rt::kAnyTag};
+    case 2:
+      return {rt::kAnySource, aim.tag};
+    default:
+      return {aim.src, aim.tag};
+  }
+}
+
 /// Build a deterministic script: ranks 1..ranks-1 each send
-/// `msgs_per_sender` tagged messages to rank 0, then rank 0 posts a
+/// `msgs_per_sender` tagged messages to rank 0. Rank 0 first posts up to
+/// `early` receives before any send, then, once the sends quiesced, a
 /// random mix of specific/wildcard receives, each guaranteed completable.
-/// The oracle replays first-eligible matching over the quiesced arrival
-/// order (source-major, index-minor) to predict every match.
-Script make_script(int ranks, int msgs_per_sender, unsigned seed) {
+/// The oracle replays matching over the quiesced arrival order
+/// (source-major, index-minor): each arrival completes the first eligible
+/// early receive in posting order, else parks; each later receive takes
+/// the first eligible parked arrival.
+Script make_script(int ranks, int msgs_per_sender, unsigned seed,
+                   int early = 0) {
   std::mt19937 rng(seed);
   Script s;
   s.sends.resize(static_cast<std::size_t>(ranks));
-  std::vector<ScriptMsg> rem;  // quiesced arrival order
+  std::vector<ScriptMsg> arrivals;  // quiesced arrival order
   for (int src = 1; src < ranks; ++src) {
     for (int i = 0; i < msgs_per_sender; ++i) {
       const ScriptMsg m{src, i, static_cast<int>(rng() % 4)};
       s.sends[static_cast<std::size_t>(src)].push_back(m);
-      rem.push_back(m);
+      arrivals.push_back(m);
+    }
+  }
+  std::vector<ScriptRecv> pre;
+  for (int i = 0; i < early; ++i) {
+    pre.push_back(aimed_recv(rng, arrivals[rng() % arrivals.size()]));
+  }
+  std::vector<int> matched(pre.size(), -1);  // arrival index per receive
+  std::vector<ScriptMsg> rem;                // parked arrivals
+  for (std::size_t a = 0; a < arrivals.size(); ++a) {
+    std::size_t j = 0;
+    while (j < pre.size() &&
+           (matched[j] >= 0 || !eligible(pre[j], arrivals[a]))) {
+      ++j;
+    }
+    if (j < pre.size()) {
+      matched[j] = static_cast<int>(a);
+    } else {
+      rem.push_back(arrivals[a]);
+    }
+  }
+  // An early receive no arrival reached was never anyone's first eligible
+  // candidate, so leaving it out changes no other match.
+  for (std::size_t j = 0; j < pre.size(); ++j) {
+    if (matched[j] >= 0) {
+      s.early.push_back(pre[j]);
+      s.expect_early.push_back(arrivals[static_cast<std::size_t>(matched[j])]);
     }
   }
   while (!rem.empty()) {
     // Aim the spec at a random remaining message so every receive matches
     // at least one candidate; the oracle decides which actually wins.
     const ScriptMsg& aim = rem[rng() % rem.size()];
-    ScriptRecv r;
-    switch (rng() % 4) {
-      case 0:
-        r = {rt::kAnySource, rt::kAnyTag};
-        break;
-      case 1:
-        r = {aim.src, rt::kAnyTag};
-        break;
-      case 2:
-        r = {rt::kAnySource, aim.tag};
-        break;
-      default:
-        r = {aim.src, aim.tag};
-        break;
-    }
+    const ScriptRecv r = aimed_recv(rng, aim);
     const auto it = std::find_if(
         rem.begin(), rem.end(),
         [&](const ScriptMsg& m) { return eligible(r, m); });
@@ -114,34 +150,88 @@ Script make_script(int ranks, int msgs_per_sender, unsigned seed) {
   return s;
 }
 
+/// Oracle-case variations beyond the mailbox config.
+struct OracleShape {
+  int early = 0;            ///< receives rank 0 posts before any send
+  std::size_t big_len = 0;  ///< nonzero: odd-index messages take this size
+};
+
+/// Size of one scripted message: two words (source, index), or `big_len`
+/// bytes for odd indices, whose last word repeats the index.
+std::size_t script_len(const OracleShape& shape, const ScriptMsg& m) {
+  return shape.big_len != 0 && m.idx % 2 == 1 ? shape.big_len : 8;
+}
+
+/// Check one received scripted message against the oracle's prediction.
+void expect_msg(const Buffer& b, const OracleShape& shape,
+                const ScriptMsg& want, const char* phase, std::size_t i,
+                unsigned seed, int ranks) {
+  const std::span<const int> w = b.typed<int>();
+  EXPECT_EQ(w[0], want.src) << phase << " recv " << i << " seed " << seed
+                            << " ranks " << ranks;
+  EXPECT_EQ(w[1], want.idx) << phase << " recv " << i << " seed " << seed
+                            << " ranks " << ranks;
+  const std::size_t len = script_len(shape, want);
+  if (len > 8) {
+    EXPECT_EQ(w[len / sizeof(int) - 1], want.idx) << phase << " recv " << i;
+  }
+}
+
 /// Run one scripted flood under `cfg` and assert the ring transport
 /// reproduces the oracle's match order exactly.
-void run_oracle_case(int ranks, const smp::MailboxConfig& cfg, unsigned seed) {
-  const Script script = make_script(ranks, 30, seed);
+void run_oracle_case(int ranks, const smp::MailboxConfig& cfg, unsigned seed,
+                     const OracleShape& shape = {}) {
+  const Script script = make_script(ranks, 30, seed, shape.early);
+  const std::size_t stride = std::max<std::size_t>(8, shape.big_len);
+  std::barrier<> start(ranks);
   std::barrier<> quiesce(ranks);
   smp::run_threads(ranks, cfg, [&](Comm& c) -> Task<void> {
     if (c.rank() != 0) {
-      Buffer b = Buffer::real(8);
-      for (const ScriptMsg& m :
-           script.sends[static_cast<std::size_t>(c.rank())]) {
-        b.typed<int>()[0] = m.src;
-        b.typed<int>()[1] = m.idx;
-        co_await c.send(b.view(), 0, m.tag);
+      const auto& sends = script.sends[static_cast<std::size_t>(c.rank())];
+      // One buffer region per message: a lent payload stays the sender's
+      // until rank 0 copies it, after the quiesce barrier.
+      Buffer out = Buffer::real(stride * sends.size());
+      std::vector<rt::Request> reqs;
+      start.arrive_and_wait();
+      for (std::size_t i = 0; i < sends.size(); ++i) {
+        const ScriptMsg& m = sends[i];
+        const std::size_t len = script_len(shape, m);
+        const std::span<int> w =
+            out.typed<int>().subspan(i * stride / sizeof(int));
+        w[0] = m.src;
+        w[1] = m.idx;
+        if (len > 8) {
+          w[len / sizeof(int) - 1] = m.idx;
+        }
+        reqs.push_back(c.isend(out.view(i * stride, len), 0, m.tag));
       }
       quiesce.arrive_and_wait();
+      co_await c.wait_all(reqs);
     } else {
+      std::vector<Buffer> early_bufs;
+      std::vector<rt::Request> early_reqs;
+      for (const ScriptRecv& r : script.early) {
+        early_bufs.push_back(Buffer::real(stride));
+        early_reqs.push_back(c.irecv(early_bufs.back().view(), r.src, r.tag));
+      }
+      start.arrive_and_wait();
       quiesce.arrive_and_wait();  // all sends happened-before this point
-      Buffer b = Buffer::real(8);
+      Buffer b = Buffer::real(stride);
+      // Every receive is posted even after a divergence: a lent send
+      // completes only when rank 0 copies it. EXPECT (not ASSERT): gtest's
+      // fatal form returns, which a coroutine forbids; one divergence
+      // implies a flood of them, so checking stops at the first.
       for (std::size_t i = 0; i < script.recvs.size(); ++i) {
         co_await c.recv(b.view(), script.recvs[i].src, script.recvs[i].tag);
-        // EXPECT (not ASSERT): gtest's fatal form returns, which a
-        // coroutine forbids.
-        EXPECT_EQ(b.typed<int>()[0], script.expect[i].src)
-            << "seed " << seed << " ranks " << ranks << " recv " << i;
-        EXPECT_EQ(b.typed<int>()[1], script.expect[i].idx)
-            << "seed " << seed << " ranks " << ranks << " recv " << i;
-        if (testing::Test::HasFailure()) {
-          co_return;  // one divergence implies a flood of them
+        if (!testing::Test::HasFailure()) {
+          expect_msg(b, shape, script.expect[i], "late", i, seed, ranks);
+        }
+      }
+      co_await c.wait_all(early_reqs);
+      for (std::size_t i = 0; i < early_bufs.size(); ++i) {
+        if (!testing::Test::HasFailure()) {
+          expect_msg(early_bufs[i], shape, script.expect_early[i], "early",
+                     i, seed, ranks);
         }
       }
     }
@@ -171,7 +261,7 @@ TEST(MailboxOrder, OracleMatchOrderTinyRingOverflow) {
 }
 
 TEST(MailboxOrder, OracleMatchOrderHeapPayloads) {
-  // Zero inline bytes: every payload travels as an owned heap block.
+  // Zero inline bytes: every payload is lent and copied once by rank 0.
   smp::MailboxConfig cfg;
   cfg.ring_slots = 4;
   cfg.ring_inline = 0;
@@ -182,12 +272,42 @@ TEST(MailboxOrder, OracleMatchOrderHeapPayloads) {
   }
 }
 
+TEST(MailboxOrder, OracleMatchOrderLentPayloadsPostedEarly) {
+  // Every payload lent, two-slot lanes (most descriptors take the
+  // overflow list and the reorder stash), and a third of the receives
+  // posted before any send, so lent messages are copied both at arrival
+  // (posted receive) and at post time (parked arrival), with wildcards.
+  smp::MailboxConfig cfg;
+  cfg.ring_slots = 2;
+  cfg.ring_inline = 0;
+  for (const int ranks : {4, 8}) {
+    for (const unsigned seed : {1u, 2u, 3u}) {
+      run_oracle_case(ranks, cfg, seed, {.early = 10 * (ranks - 1)});
+    }
+  }
+}
+
+TEST(MailboxOrder, OracleMatchOrderMixedEagerAndLent) {
+  // Each lane interleaves inline (8 B) and lent (64 B) messages through
+  // two-slot rings and the overflow list; order and bytes must survive.
+  smp::MailboxConfig cfg;
+  cfg.ring_slots = 2;
+  cfg.ring_inline = 8;
+  for (const int ranks : {4, 8}) {
+    for (const unsigned seed : {4u, 5u}) {
+      run_oracle_case(ranks, cfg, seed,
+                      {.early = 5 * (ranks - 1), .big_len = 64});
+    }
+  }
+}
+
 TEST(MailboxOrder, RingFullNeverBlocksAndKeepsOrder) {
   // Both peers flood each other through two-slot lanes before either
-  // receives: eager semantics demand the senders never block (the
-  // overflow list is unbounded), and content/order must survive the
-  // ring -> overflow -> stash merge. Message sizes straddle the inline
-  // threshold so inline, heap and overflow payloads interleave.
+  // receives: publishing must never block (the overflow list is
+  // unbounded), and content/order must survive the ring -> overflow ->
+  // stash merge. Message sizes straddle the inline threshold so inline,
+  // lent and overflow payloads interleave; the senders hold their
+  // requests (lent buffers) until after their own receives.
   constexpr int kN = 200;
   smp::MailboxConfig cfg;
   cfg.ring_slots = 2;
@@ -197,26 +317,29 @@ TEST(MailboxOrder, RingFullNeverBlocksAndKeepsOrder) {
   };
   smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
     const int peer = 1 - c.rank();
-    Buffer out = Buffer::real(512);
+    Buffer out = Buffer::real(512 * kN);
+    std::vector<rt::Request> reqs;
     for (int i = 0; i < kN; ++i) {
       const std::size_t len = len_of(i);
+      std::byte* msg = out.data() + 512 * static_cast<std::size_t>(i);
       for (std::size_t k = 0; k < len; ++k) {
-        out.data()[k] = test::pattern(c.rank(), i, k);
+        msg[k] = test::pattern(c.rank(), i, k);
       }
-      co_await c.send(out.view(0, len), peer, 0);
+      reqs.push_back(
+          c.isend(out.view(512 * static_cast<std::size_t>(i), len), peer, 0));
     }
     Buffer in = Buffer::real(512);
     for (int i = 0; i < kN; ++i) {
       const std::size_t len = len_of(i);
       co_await c.recv(in.view(0, len), peer, 0);
-      for (std::size_t k = 0; k < len; ++k) {
+      // Keep receiving after a mismatch: the peer's lent sends complete
+      // only when copied.
+      for (std::size_t k = 0; k < len && !testing::Test::HasFailure(); ++k) {
         EXPECT_EQ(in.data()[k], test::pattern(peer, i, k))
             << "msg " << i << " byte " << k;
-        if (testing::Test::HasFailure()) {
-          co_return;
-        }
       }
     }
+    co_await c.wait_all(reqs);
   });
 }
 

@@ -133,8 +133,11 @@ TEST(FlowId, DeterministicNonzeroAndDistinct) {
 // ---------------------------------------------------------------------------
 
 TEST(SmpFlowStitch, EveryArrowStartsOnceAndFinishesOnce) {
+  // 64 B travels inline in ring slots; 64 KiB is lent and copied once by
+  // the receiver. Both must pair every arrow.
   constexpr int kRanks = 4;
   constexpr int kMsgs = 5;
+  constexpr std::array<std::size_t, 2> kSizes{64, 64 * 1024};
   obs::TraceRecorder rec;
   obs::set_active_recorder(&rec);
   smp::MailboxConfig cfg;  // defaults: ring transport (stitching active)
@@ -142,13 +145,15 @@ TEST(SmpFlowStitch, EveryArrowStartsOnceAndFinishesOnce) {
     const int me = world.rank();
     const int dst = (me + 1) % kRanks;
     const int src = (me + kRanks - 1) % kRanks;
-    std::array<std::byte, 64> out{};
-    std::array<std::byte, 64> in{};
-    for (int i = 0; i < kMsgs; ++i) {
-      const std::array<rt::Request, 2> reqs{
-          world.irecv(rt::MutView{in.data(), in.size()}, src, /*tag=*/3),
-          world.isend(rt::ConstView{out.data(), out.size()}, dst, /*tag=*/3)};
-      world.wait_try(reqs);
+    std::vector<std::byte> out(kSizes.back());
+    std::vector<std::byte> in(kSizes.back());
+    for (const std::size_t len : kSizes) {
+      for (int i = 0; i < kMsgs; ++i) {
+        const std::array<rt::Request, 2> reqs{
+            world.irecv(rt::MutView{in.data(), len}, src, /*tag=*/3),
+            world.isend(rt::ConstView{out.data(), len}, dst, /*tag=*/3)};
+        world.wait_try(reqs);
+      }
     }
     co_return;
   });
@@ -176,9 +181,10 @@ TEST(SmpFlowStitch, EveryArrowStartsOnceAndFinishesOnce) {
   }
   // One arrow per message, each started in a send span on the producing
   // rank and finished in the matching accept on the consumer.
-  EXPECT_EQ(send_spans, kRanks * kMsgs);
-  EXPECT_EQ(recv_spans, kRanks * kMsgs);
-  ASSERT_EQ(starts.size(), static_cast<std::size_t>(kRanks * kMsgs));
+  const int msgs = kRanks * kMsgs * static_cast<int>(kSizes.size());
+  EXPECT_EQ(send_spans, msgs);
+  EXPECT_EQ(recv_spans, msgs);
+  ASSERT_EQ(starts.size(), static_cast<std::size_t>(msgs));
   EXPECT_EQ(starts, ends);  // same ids, each exactly once on both sides
   for (const auto& [id, n] : starts) {
     EXPECT_EQ(n, 1) << "flow " << id << " started " << n << " times";

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <numeric>
+#include <random>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace mca2a {
@@ -37,15 +42,76 @@ TEST(SmpP2P, PingPong) {
   });
 }
 
-TEST(SmpP2P, SendIsEagerAndNonBlocking) {
-  // Both ranks send before receiving; buffered semantics must not deadlock.
-  run_smp(2, [](Comm& c) -> Task<void> {
-    Buffer s = Buffer::real(1 << 16);
-    Buffer r = Buffer::real(1 << 16);
+TEST(SmpP2P, SmallSendIsEager) {
+  // Both ranks send before receiving. A payload of at most ring_inline
+  // bytes is buffered eagerly, so the blocking sends must not deadlock.
+  const smp::MailboxConfig cfg;
+  smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
+    Buffer s = Buffer::real(cfg.ring_inline);
+    Buffer r = Buffer::real(cfg.ring_inline);
     const int peer = 1 - c.rank();
+    EXPECT_FALSE(c.isend(s.view(), peer, 1).valid());  // complete on return
     co_await c.send(s.view(), peer, 0);
+    co_await c.recv(r.view(), peer, 1);
     co_await c.recv(r.view(), peer, 0);
   });
+}
+
+TEST(SmpP2P, LargeSendCompletesWhenReceiverCopies) {
+  // A payload above ring_inline is lent, not buffered: the sender's wait
+  // returns only once the receiver has posted and copied. Afterwards the
+  // send buffer is the sender's again, and overwriting it must leave the
+  // received bytes intact.
+  constexpr std::size_t kLen = 64 * 1024;
+  std::atomic<bool> posted{false};
+  smp::run_threads(2, smp::MailboxConfig{}, [&](Comm& c) -> Task<void> {
+    Buffer b = Buffer::real(kLen);
+    if (c.rank() == 0) {
+      for (std::size_t k = 0; k < kLen; ++k) {
+        b.data()[k] = test::pattern(0, 1, k);
+      }
+      co_await c.send(b.view(), 1, 0);
+      EXPECT_TRUE(posted.load());
+      std::memset(b.data(), 0xff, kLen);
+      co_await c.send(ConstView{}, 1, 1);  // "buffer overwritten"
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      posted.store(true);
+      co_await c.recv(b.view(), 0, 0);
+      co_await c.recv(MutView{}, 0, 1);
+      for (std::size_t k = 0; k < kLen; ++k) {
+        EXPECT_EQ(b.data()[k], test::pattern(0, 1, k)) << "byte " << k;
+        if (testing::Test::HasFailure()) {
+          co_return;
+        }
+      }
+    }
+  });
+}
+
+TEST(SmpP2P, LargeSendrecvBothSendFirst) {
+  // The MPI-safe form of "both peers send first" at 64 KiB: sendrecv
+  // posts the receive beside the lent send, so neither rank waits on a
+  // receive the other has not posted.
+  constexpr std::size_t kLen = 64 * 1024;
+  const obs::Counter& rndv = obs::metrics().counter("smp.mailbox.rndv_sends");
+  const std::uint64_t before = rndv.value();
+  smp::run_threads(2, smp::MailboxConfig{}, [&](Comm& c) -> Task<void> {
+    const int peer = 1 - c.rank();
+    Buffer s = Buffer::real(kLen);
+    Buffer r = Buffer::real(kLen);
+    for (std::size_t k = 0; k < kLen; ++k) {
+      s.data()[k] = test::pattern(c.rank(), peer, k);
+    }
+    co_await c.sendrecv(s.view(), peer, 0, r.view(), peer, 0);
+    for (std::size_t k = 0; k < kLen; ++k) {
+      EXPECT_EQ(r.data()[k], test::pattern(peer, c.rank(), k)) << "byte " << k;
+      if (testing::Test::HasFailure()) {
+        co_return;
+      }
+    }
+  });
+  EXPECT_EQ(rndv.value() - before, 2u);  // one lent send per rank
 }
 
 TEST(SmpP2P, TagAndSourceWildcards) {
@@ -134,6 +200,94 @@ TEST(SmpP2P, ZeroByteMessages) {
       co_await c.send(ConstView{}, 1, 0);
     } else {
       co_await c.recv(MutView{}, 0, 0);
+    }
+  });
+}
+
+// A truncated lent message must still complete its sender: the receiver
+// consumes it and reports the error at its own wait, whether the message
+// arrived before the receive was posted or after.
+TEST(SmpP2P, TruncatedLargeSendCompletesWhenReceivePostedFirst) {
+  std::atomic<bool> sent{false};
+  EXPECT_THROW(
+      smp::run_threads(2, smp::MailboxConfig{},
+                       [&](Comm& c) -> Task<void> {
+                         Buffer big = Buffer::real(64 * 1024);
+                         Buffer small = Buffer::real(49);
+                         if (c.rank() == 0) {
+                           co_await c.recv(MutView{}, 1, 1);  // "posted"
+                           co_await c.send(big.view(), 1, 0);
+                           sent.store(true);
+                         } else {
+                           const Request r = c.irecv(small.view(), 0, 0);
+                           co_await c.send(ConstView{}, 0, 1);
+                           co_await c.wait(r);
+                         }
+                       }),
+      std::runtime_error);
+  EXPECT_TRUE(sent.load());
+}
+
+TEST(SmpP2P, TruncatedLargeSendCompletesWhenMessageArrivedFirst) {
+  std::atomic<bool> sent{false};
+  EXPECT_THROW(
+      smp::run_threads(2, smp::MailboxConfig{},
+                       [&](Comm& c) -> Task<void> {
+                         Buffer big = Buffer::real(64 * 1024);
+                         Buffer small = Buffer::real(49);
+                         if (c.rank() == 0) {
+                           const Request r = c.isend(big.view(), 1, 0);
+                           co_await c.send(ConstView{}, 1, 1);
+                           co_await c.wait(r);
+                           sent.store(true);
+                         } else {
+                           // Per-pair FIFO: once tag 1 matched, the large
+                           // message is already parked unexpected.
+                           co_await c.recv(MutView{}, 0, 1);
+                           co_await c.recv(small.view(), 0, 0);
+                         }
+                       }),
+      std::runtime_error);
+  EXPECT_TRUE(sent.load());
+}
+
+TEST(SmpP2P, ParkedSenderWakesWhenReceiverPostsLate) {
+  // spin = 0: a sender waiting on its own lent send parks on its doorbell
+  // at once. First the receiver posts only after the sleep counter shows
+  // a park began, so every completion meets a sleeping (or about to
+  // sleep) sender. Then it posts after a random short spin, so many
+  // completions land between the sender's last flag check and its park:
+  // only the pre-sleep recheck of the completion epoch saves those.
+  constexpr int kParkedRounds = 100;
+  constexpr int kRacingRounds = 10000;
+  constexpr std::size_t kLen = 512;
+  smp::MailboxConfig cfg;
+  cfg.spin = 0;
+  ASSERT_GT(kLen, cfg.ring_inline);  // lent, not eager
+  const obs::Counter& sleeps = obs::metrics().counter("smp.mailbox.sleeps");
+  const std::uint64_t base = sleeps.value();
+  smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
+    Buffer b = Buffer::real(kLen);
+    std::mt19937 rng(7);
+    for (int i = 0; i < kParkedRounds + kRacingRounds; ++i) {
+      if (c.rank() == 0) {
+        b.data()[0] = static_cast<std::byte>(i);
+        co_await c.send(b.view(), 1, 0);
+        continue;
+      }
+      if (i < kParkedRounds) {
+        // Round i cannot finish before the sender parked in it, so the
+        // count reaches base + i + 1 and this loop always ends.
+        while (sleeps.value() < base + static_cast<std::uint64_t>(i) + 1) {
+          std::this_thread::yield();
+        }
+      } else {
+        for (std::uint32_t k = rng() % 16384; k > 0; --k) {
+          (void)sleeps.value();  // an atomic load: a delay not optimized out
+        }
+      }
+      co_await c.recv(b.view(), 0, 0);
+      EXPECT_EQ(b.data()[0], static_cast<std::byte>(i));
     }
   });
 }
