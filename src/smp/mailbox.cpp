@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <new>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -129,13 +130,12 @@ void deliver(PostedRecv* r, const UnexpectedMsg& m) {
 
 void SendCompletion::complete() const {
   // The release store orders the receiver's copy before the sender's
-  // reuse of its buffer; the counter bump (release, read by the owner's
+  // reuse of its buffer; the epoch bump (release, read by the owner's
   // epoch() with acquire) follows it, so an owner that observes the new
   // epoch also observes the flag. Nothing here touches the sender's
   // request after the store: the sender may recycle it at once.
   done->store(true, std::memory_order_release);
-  home->send_completions_.fetch_add(1, std::memory_order_release);
-  home->ring_doorbell();
+  home->notify();
 }
 
 MailboxConfig MailboxConfig::from_env() {
@@ -153,9 +153,12 @@ MailboxConfig MailboxConfig::from_env() {
   return cfg;
 }
 
-Mailbox::Mailbox(int comm_size, const MailboxConfig& cfg)
+Mailbox::Mailbox(int comm_size, int owner, const MailboxConfig& cfg,
+                 RankProgress& progress)
     : cfg_(cfg),
       comm_size_(comm_size),
+      owner_(owner),
+      progress_(&progress),
       stride_(align_up(sizeof(SlotHeader) + cfg.ring_inline, 64)) {
   if (cfg_.kind == MailboxKind::kRing) {
     lanes_ = std::vector<std::atomic<Lane*>>(
@@ -183,8 +186,18 @@ Mailbox::Lane& Mailbox::lane_for_send(int src) {
   return *lane;
 }
 
+bool Mailbox::lends(int src, rt::ConstView payload) const noexcept {
+  return cfg_.kind == MailboxKind::kRing && payload.ptr != nullptr &&
+         payload.len > cfg_.ring_inline && src != owner_;
+}
+
 void Mailbox::send(int src, int tag, rt::ConstView payload,
                    SendCompletion lender) {
+  const bool lend = lends(src, payload);
+  if (lend != (lender.done != nullptr)) {
+    throw std::logic_error(
+        "Mailbox::send: a lender is required exactly for lent payloads");
+  }
   const bool has_data = payload.ptr != nullptr && payload.len > 0;
   if (cfg_.kind == MailboxKind::kMutex) {
     UnexpectedMsg m;
@@ -192,10 +205,13 @@ void Mailbox::send(int src, int tag, rt::ConstView payload,
     m.tag = tag;
     m.bytes = payload.len;
     m.data = has_data ? payload.ptr : nullptr;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (accept(std::move(m))) {
-      mutex_epoch_.fetch_add(1, std::memory_order_relaxed);
-      cv_.notify_all();
+    bool delivered = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      delivered = accept(std::move(m));
+    }
+    if (delivered) {
+      progress_->notify();
     }
     return;
   }
@@ -203,15 +219,18 @@ void Mailbox::send(int src, int tag, rt::ConstView payload,
   Lane& lane = lane_for_send(src);
   const std::uint64_t seq = lane.next_seq++;
   const std::uint64_t t = lane.tail.load(std::memory_order_relaxed);
-  if (t - lane.head.load(std::memory_order_acquire) < cfg_.ring_slots) {
+  // A slot holds a descriptor, or at most ring_inline payload bytes.
+  const bool fits = lend || !has_data || payload.len <= cfg_.ring_inline;
+  if (fits &&
+      t - lane.head.load(std::memory_order_acquire) < cfg_.ring_slots) {
     SlotHeader* s = lane.slot(stride_, cfg_.ring_slots, t);
     s->seq = seq;
     s->tag = tag;
     s->bytes = payload.len;
     s->has_data = has_data;
-    s->lent = lender.done != nullptr ? payload.ptr : nullptr;
+    s->lent = lend ? payload.ptr : nullptr;
     s->lender = lender;
-    if (has_data && s->lent == nullptr) {
+    if (has_data && !lend) {
       std::memcpy(slot_payload(s), payload.ptr, payload.len);
     }
     lane.tail.store(t + 1, std::memory_order_release);
@@ -221,8 +240,9 @@ void Mailbox::send(int src, int tag, rt::ConstView payload,
   } else {
     // Lane full: publishing must never block (both peers of an exchange
     // may send before either receives), so spill to the unbounded
-    // overflow list. The seq stamp lets the consumer restore per-pair
-    // order.
+    // overflow list. An eager payload too large for a slot (a self-send)
+    // lands here too, as an owned copy. The seq stamp lets the consumer
+    // restore per-pair order.
     OverflowMsg m;
     m.seq = seq;
     m.msg.src = src;
@@ -240,30 +260,12 @@ void Mailbox::send(int src, int tag, rt::ConstView payload,
         obs::metrics().counter("smp.mailbox.overflow_sends");
     g_over.add();
   }
-  if (lender.done != nullptr) {
+  if (lend) {
     static obs::Counter& g_rndv =
         obs::metrics().counter("smp.mailbox.rndv_sends");
     g_rndv.add();
   }
-  ring_doorbell();
-}
-
-void Mailbox::ring_doorbell() {
-  // Dekker pairing with idle(): after this fence and the sleeper's, either
-  // we observe sleepers_ != 0 or the sleeper's recheck observes our
-  // published arrival.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) == 0) {
-    return;
-  }
-  static obs::Counter& g_wakeups =
-      obs::metrics().counter("smp.mailbox.wakeups");
-  g_wakeups.add();
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    ++wake_epoch_;
-  }
-  wake_cv_.notify_all();
+  progress_->ring();
 }
 
 bool Mailbox::match_posted(const UnexpectedMsg& m) {
@@ -404,11 +406,6 @@ bool Mailbox::post_or_match(PostedRecv* r) {
   return false;
 }
 
-std::uint64_t Mailbox::epoch() const {
-  return (cfg_.kind == MailboxKind::kMutex ? mutex_epoch_ : send_completions_)
-      .load(std::memory_order_acquire);
-}
-
 bool Mailbox::arrivals_visible() const {
   if (overflow_count_.load(std::memory_order_acquire) != 0) {
     return true;
@@ -423,19 +420,62 @@ bool Mailbox::arrivals_visible() const {
   return false;
 }
 
-void Mailbox::idle(std::uint64_t observed_epoch, int& spins) {
-  if (cfg_.kind == MailboxKind::kMutex) {
-    // The epoch was captured before the caller's completion check, so a
-    // delivery in between leaves the predicate already true: no lost
-    // wakeup, no sleep-past-completion.
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] {
-      return mutex_epoch_.load(std::memory_order_relaxed) != observed_epoch;
-    });
+RankProgress::RankProgress(const MailboxConfig& cfg)
+    : spin_(cfg.kind == MailboxKind::kRing ? cfg.spin : 0) {}
+
+void RankProgress::attach(Mailbox& mb) {
+  // Forget detached mailboxes here too, so a rank that creates many
+  // short-lived communicators between waits keeps a short list.
+  std::erase_if(boxes_, [](const Mailbox* b) {
+    return !b->attached_.load(std::memory_order_acquire);
+  });
+  boxes_.push_back(&mb);
+}
+
+void RankProgress::drain() {
+  for (std::size_t i = 0; i < boxes_.size();) {
+    Mailbox* mb = boxes_[i];
+    if (!mb->attached_.load(std::memory_order_acquire)) {
+      boxes_.erase(boxes_.begin() + static_cast<std::ptrdiff_t>(i));
+      continue;
+    }
+    mb->drain();
+    ++i;
+  }
+}
+
+bool RankProgress::arrivals_visible() const {
+  return std::any_of(boxes_.begin(), boxes_.end(), [](const Mailbox* mb) {
+    return mb->arrivals_visible();
+  });
+}
+
+void RankProgress::ring() {
+  // Dekker pairing with idle(): after this fence and the sleeper's, either
+  // we observe sleepers_ != 0 or the sleeper's recheck observes our
+  // published arrival (or moved epoch).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_relaxed) == 0) {
     return;
   }
+  static obs::Counter& g_wakeups =
+      obs::metrics().counter("smp.mailbox.wakeups");
+  g_wakeups.add();
+  {
+    std::lock_guard<std::mutex> lk(wake_mu_);
+    ++wake_epoch_;
+  }
+  wake_cv_.notify_all();
+}
+
+void RankProgress::notify() {
+  events_.fetch_add(1, std::memory_order_release);
+  ring();
+}
+
+void RankProgress::idle(std::uint64_t observed_epoch, int& spins) {
   ++spins;
-  if (spins <= cfg_.spin) {
+  if (spins <= spin_) {
     // Mostly pause (SMT-friendly), periodically yield (oversubscription-
     // friendly: a 2x-threads-per-core run must keep making progress).
     if ((spins & 7) == 0) {
@@ -452,7 +492,7 @@ void Mailbox::idle(std::uint64_t observed_epoch, int& spins) {
   sleepers_.fetch_add(1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (!arrivals_visible() &&
-      send_completions_.load(std::memory_order_relaxed) == observed_epoch) {
+      events_.load(std::memory_order_relaxed) == observed_epoch) {
     const std::uint64_t e = wake_epoch_;
     wake_cv_.wait(lk, [&] { return wake_epoch_ != e; });
   }

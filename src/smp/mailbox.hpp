@@ -18,7 +18,8 @@
 ///    length and a completion flag, the receiver copies straight from the
 ///    sender's buffer into the posted receive, and then release-stores the
 ///    flag, which completes the sender's request (single copy, no
-///    allocation). When a lane is full the sender falls back to a
+///    allocation). When a lane is full, or an eager payload does not fit a
+///    slot (a self-send above `ring_inline`), the sender falls back to a
 ///    mutex-guarded unbounded overflow list, so publishing never blocks.
 ///    Every message carries a per-lane sequence number; the consumer
 ///    merges ring and overflow arrivals back into strict per-pair order
@@ -35,17 +36,24 @@
 /// (source, tag) with wildcards, FIFO among eligible candidates, and
 /// non-overtaking delivery between a fixed pair of ranks.
 ///
-/// Sleep/wake contract (ring mode): a rank that has spun without progress
-/// parks on its mailbox doorbell. Two events ring it: a sender publishing
-/// an arrival, and a receiver completing one of the owner's lent sends
-/// (which first bumps the mailbox's completion counter, the ring-mode
-/// epoch()). The publish and the sleeper's registration are separated by
+/// Progress is per rank, not per communicator: every rank owns one
+/// RankProgress, which polls the mailboxes of all its live communicators
+/// and parks on a single doorbell. A rank waiting on one communicator
+/// therefore still copies lent payloads that arrive on another, so MPI's
+/// progress rule holds across communicators.
+///
+/// Sleep/wake contract: a rank that has spun without progress parks on its
+/// RankProgress doorbell. Two kinds of event ring it: a sender publishing
+/// an arrival into one of its mailboxes (ring mode), and anything that
+/// first bumps the rank's event counter, its epoch(): a receiver
+/// completing one of its lent sends, a sender delivering into one of its
+/// posted receives (mutex mode), or the cluster failing. The wake and the sleeper's registration are separated by
 /// seq_cst fences in the Dekker pattern — after both fences, either the
-/// publisher observes `sleepers_ != 0` (and rings the doorbell under the
-/// wake mutex) or the sleeper observes the arrival or the moved epoch in
-/// its pre-sleep recheck. Payload happens-before never relies on those
-/// fences: it rides on the ring's release/acquire index pair (or the
-/// overflow mutex) towards the receiver, and on the completion flag's
+/// waker observes `sleepers_ != 0` (and rings the doorbell under the wake
+/// mutex) or the sleeper observes the arrival or the moved epoch in its
+/// pre-sleep recheck. Payload happens-before never relies on those fences:
+/// it rides on the ring's release/acquire index pair (or the overflow
+/// mutex) towards the receiver, and on the completion flag's
 /// release/acquire pair back to the sender, which is what keeps the
 /// design TSan-provable.
 
@@ -121,13 +129,14 @@ struct PostedRecv {
 };
 
 class Mailbox;
+class RankProgress;
 
 /// The sender's side of a lent payload: the receiver release-stores
 /// `*done` once it has copied the bytes (or dropped them on truncation),
-/// then wakes `home`, the sender's own mailbox, in case it parked there.
+/// then wakes `home`, the sending rank's progress, in case it parked.
 struct SendCompletion {
   std::atomic<bool>* done = nullptr;  ///< null: eager payload, nothing lent
-  Mailbox* home = nullptr;
+  RankProgress* home = nullptr;
 
   /// Receiver side: hand the buffer back and wake its owner.
   void complete() const;
@@ -149,17 +158,27 @@ struct UnexpectedMsg {
 /// Matching state for one rank within one communicator.
 class Mailbox {
  public:
-  Mailbox(int comm_size, const MailboxConfig& cfg);
+  /// `owner` is the owning rank (in-comm); `progress` is its RankProgress,
+  /// which senders and completions wake.
+  Mailbox(int comm_size, int owner, const MailboxConfig& cfg,
+          RankProgress& progress);
   ~Mailbox();
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
+  /// Whether send() lends `payload` from `src` instead of copying it: in
+  /// ring mode, a real payload above `ring_inline` bytes from another rank.
+  /// Self-sends, virtual payloads and the mutex transport stay eager. The
+  /// one eager/single-copy decision; send() holds its caller to it.
+  bool lends(int src, rt::ConstView payload) const noexcept;
+
   /// Producer side, called from `src`'s rank thread: enqueue a message.
-  /// Never blocks. Ring mode publishes into the lane ring or, when full,
-  /// the overflow list; mutex mode matches a posted receive directly
-  /// (copying payload) or parks a copy unexpected. With `lender` set
-  /// (ring mode only) the payload is lent: it must stay valid, unchanged,
-  /// until the receiver completes `*lender.done`.
+  /// Never blocks. Ring mode publishes into the lane ring or, when full
+  /// (or when an eager payload exceeds the slot), the overflow list; mutex
+  /// mode matches a posted receive directly (copying payload) or parks a
+  /// copy unexpected. `lender` must be set exactly when lends() is true;
+  /// the payload must then stay valid, unchanged, until the receiver
+  /// completes `*lender.done`.
   void send(int src, int tag, rt::ConstView payload,
             SendCompletion lender = {});
 
@@ -175,18 +194,9 @@ class Mailbox {
   /// receiver's wait, exactly as a truncated delivery to a posted receive.
   bool post_or_match(PostedRecv* r);
 
-  /// Owner side: wake-epoch observation for idle(); capture it *before*
-  /// checking completion flags so a completion delivered in between
-  /// cannot be slept through. Mutex mode counts deliveries; ring mode
-  /// counts completions of this owner's lent sends (its idle() rechecks
-  /// arrivals separately).
-  std::uint64_t epoch() const;
-
-  /// Owner side: one pause of the wait loop. Spins/yields for the
-  /// configured budget, then parks on the doorbell until a sender
-  /// publishes (ring) or the epoch moves past `observed_epoch`.
-  /// `spins` is the caller's running idle-poll counter.
-  void idle(std::uint64_t observed_epoch, int& spins);
+  /// Any thread: the owner's endpoint is gone; its RankProgress stops
+  /// polling this mailbox at its next drain.
+  void detach() noexcept { attached_.store(false, std::memory_order_release); }
 
   /// Owner side, before any traffic: enable receive-side flow stitching
   /// (smp.recv spans + Perfetto arrow heads) for this mailbox.
@@ -194,6 +204,7 @@ class Mailbox {
 
  private:
   struct Lane;
+  friend class RankProgress;
 
   Lane& lane_for_send(int src);
   void pump_lane(int src, Lane& lane);
@@ -201,7 +212,6 @@ class Mailbox {
   /// True when a lane ring or the overflow list holds an undrained
   /// message (the pre-sleep recheck).
   bool arrivals_visible() const;
-  void ring_doorbell();
   /// Enter one arrival into matching order: complete the first eligible
   /// posted receive (true), or park it (false), copying transient bytes.
   bool accept(UnexpectedMsg&& m);
@@ -212,11 +222,13 @@ class Mailbox {
     UnexpectedMsg msg;
   };
 
-  friend struct SendCompletion;
-
   MailboxConfig cfg_;
   int comm_size_ = 0;
+  int owner_ = 0;
+  RankProgress* progress_ = nullptr;
   std::size_t stride_ = 0;  // ring slot stride (header + inline, padded)
+  /// Cleared by detach(); read by the owner's RankProgress.
+  std::atomic<bool> attached_{true};
 
   // --- ring transport ---------------------------------------------------
   /// One lazily-created lane per source rank; the unique producer
@@ -227,18 +239,9 @@ class Mailbox {
   std::mutex overflow_mu_;
   std::deque<OverflowMsg> overflow_;
   std::atomic<std::size_t> overflow_count_{0};
-  /// Doorbell (see file comment for the fence pairing).
-  std::atomic<std::uint32_t> sleepers_{0};
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::uint64_t wake_epoch_ = 0;  // guarded by wake_mu_
-  /// Completions of the owner's lent sends; bumped by their receivers.
-  std::atomic<std::uint64_t> send_completions_{0};
 
   // --- mutex transport --------------------------------------------------
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> mutex_epoch_{0};  // bumped under mu_
 
   // --- matching state ---------------------------------------------------
   /// Ring mode: owner-thread-only, no lock. Mutex mode: guarded by mu_.
@@ -251,6 +254,55 @@ class Mailbox {
   /// Per-(src, tag) arrival counters, kept in lockstep with the sender's
   /// per-(dst, tag) counters by the lanes' per-pair FIFO.
   std::map<std::pair<int, int>, std::uint64_t> flow_rx_seq_;
+};
+
+/// Everything one rank thread polls and parks on: the mailboxes of its
+/// live communicators and a single doorbell (see the file comment for
+/// the sleep/wake contract). The mailbox list is owner-thread-only; the
+/// doorbell and epoch are rung from any thread.
+class RankProgress {
+ public:
+  explicit RankProgress(const MailboxConfig& cfg);
+  RankProgress(const RankProgress&) = delete;
+  RankProgress& operator=(const RankProgress&) = delete;
+
+  /// Owner side (or before the rank thread starts): poll `mb` from now on,
+  /// until mb.detach().
+  void attach(Mailbox& mb);
+
+  /// Owner side: drain every attached mailbox, forgetting detached ones.
+  void drain();
+
+  /// Owner side: wake-epoch observation for idle(); capture it *before*
+  /// checking completion flags so an event delivered in between cannot
+  /// be slept through.
+  std::uint64_t epoch() const {
+    return events_.load(std::memory_order_acquire);
+  }
+
+  /// Owner side: one pause of the wait loop. Spins/yields for the
+  /// configured budget (ring mode), then parks on the doorbell until a
+  /// sender publishes into an attached mailbox or the epoch moves past
+  /// `observed_epoch`. `spins` is the caller's running idle-poll counter.
+  void idle(std::uint64_t observed_epoch, int& spins);
+
+  /// Any thread, after publishing an arrival: wake the owner if parked.
+  void ring();
+
+  /// Any thread: move the epoch, then ring — a completed lent send, a
+  /// mutex-mode delivery, or a failed cluster.
+  void notify();
+
+ private:
+  bool arrivals_visible() const;
+
+  int spin_ = 0;  // 0 in mutex mode: park at once, as that baseline did
+  std::vector<Mailbox*> boxes_;
+  std::atomic<std::uint32_t> sleepers_{0};
+  std::mutex wake_mu_;
+  std::condition_variable wake_cv_;
+  std::uint64_t wake_epoch_ = 0;  // guarded by wake_mu_
+  std::atomic<std::uint64_t> events_{0};
 };
 
 }  // namespace mca2a::smp

@@ -15,13 +15,17 @@ SmpCluster::SmpCluster(int world_size, const MailboxConfig& cfg)
     throw std::invalid_argument("SmpCluster: world size must be >= 1");
   }
   subcomm_uses_.resize(world_size);
+  for (int r = 0; r < world_size; ++r) {
+    progress_.emplace_back(mailbox_cfg_);
+  }
   CommEntry& world_entry = comms_.emplace_back();
   world_entry.world_ranks.resize(world_size);
   for (int r = 0; r < world_size; ++r) {
     world_entry.world_ranks[r] = r;
   }
   for (int r = 0; r < world_size; ++r) {
-    world_entry.mailboxes.emplace_back(world_size, mailbox_cfg_);
+    world_entry.mailboxes.emplace_back(world_size, r, mailbox_cfg_,
+                                       progress_[r]);
   }
 
   // Flight recorder: one stream per rank thread, stamped with wall-clock
@@ -77,6 +81,15 @@ SmpCluster::~SmpCluster() {
 
 rt::Comm& SmpCluster::world(int rank) { return *world_comms_.at(rank); }
 
+void SmpCluster::abort() {
+  // The flag is stored before any epoch moves, so a waiter that wakes on
+  // the bump (acquire) sees the flag on its next pass.
+  aborted_.store(true, std::memory_order_release);
+  for (RankProgress& p : progress_) {
+    p.notify();
+  }
+}
+
 std::uint32_t SmpCluster::intern_comm(std::vector<int> world_ranks,
                                       int caller_world_rank) {
   // Occurrence counter is private to the calling rank's thread.
@@ -93,7 +106,9 @@ std::uint32_t SmpCluster::intern_comm(std::vector<int> world_ranks,
   entry.world_ranks = key.first;
   const int comm_size = static_cast<int>(key.first.size());
   for (int r = 0; r < comm_size; ++r) {
-    entry.mailboxes.emplace_back(comm_size, mailbox_cfg_);
+    entry.mailboxes.emplace_back(
+        comm_size, r, mailbox_cfg_,
+        progress_[static_cast<std::size_t>(entry.world_ranks[r])]);
   }
   // Stitching contexts land before the id is published (we still hold
   // registry_mu_): no rank can send through an uninstrumented mailbox.
@@ -104,15 +119,15 @@ std::uint32_t SmpCluster::intern_comm(std::vector<int> world_ranks,
 
 SmpComm::SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank,
                  int size)
-    : rt::Comm(rank, size),
-      cluster_(&cluster),
-      eager_max_(cluster.mailbox_cfg_.kind == MailboxKind::kRing
-                     ? cluster.mailbox_cfg_.ring_inline
-                     : SIZE_MAX) {
+    : rt::Comm(rank, size), cluster_(&cluster) {
   // Resolve the registry entry once, under the same mutex intern_comm
   // appends under; afterwards the message path never touches comms_.
   std::lock_guard<std::mutex> lock(cluster.registry_mu_);
   entry_ = &cluster.comms_[comm_id];
+  // Built on the owning rank's thread (or before rank threads start), the
+  // only thread that touches its RankProgress mailbox list.
+  progress_ = &cluster.progress_[static_cast<std::size_t>(world_rank())];
+  progress_->attach(mailbox(rank_));
   if (!cluster.tracers_.empty() &&
       cluster.mailbox_cfg_.kind == MailboxKind::kRing) {
     // Must match SmpCluster::install_trace's salt formula exactly.
@@ -121,6 +136,8 @@ SmpComm::SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank,
         comm_id;
   }
 }
+
+SmpComm::~SmpComm() { mailbox(rank_).detach(); }
 
 Mailbox& SmpComm::mailbox(int rank_in_comm) const {
   return entry_->mailboxes[static_cast<std::size_t>(rank_in_comm)];
@@ -133,15 +150,16 @@ rt::Request SmpComm::isend(rt::ConstView buf, int dst, int tag) {
   if (tag < 0) {
     throw std::invalid_argument("isend: tag must be >= 0");
   }
-  // Payloads above the inline budget are lent, not copied: the receiver
-  // copies them once, straight into its posted receive, and completes
-  // this request when done. Small, self and virtual payloads stay eager;
-  // an invalid Request denotes "already complete" and wait_try skips it.
+  // The destination mailbox decides: a lent payload is copied once by
+  // the receiver, straight into its posted receive, which then completes
+  // this request. Eager sends return an invalid Request, which denotes
+  // "already complete" and which wait_try skips.
+  Mailbox& mb = mailbox(dst);
   rt::Request req{};
   SendCompletion lender{};
-  if (buf.ptr != nullptr && buf.len > eager_max_ && dst != rank_) {
+  if (mb.lends(rank_, buf)) {
     req = take_op();
-    lender = {&ops_[req.slot].complete, &mailbox(rank_)};
+    lender = {&ops_[req.slot].complete, progress_};
   }
   obs::Span sp;
   if (flow_comm_key_ != 0 && buf.len > 0 && dst != rank_) {
@@ -159,7 +177,7 @@ rt::Request SmpComm::isend(rt::ConstView buf, int dst, int tag) {
                     {"tag", tag}});
     tb->flow_start(id, 0);
   }
-  mailbox(dst).send(rank_, tag, buf, lender);
+  mb.send(rank_, tag, buf, lender);
   return req;
 }
 
@@ -208,17 +226,19 @@ PostedRecv& SmpComm::op_checked(const rt::Request& r) {
 }
 
 bool SmpComm::wait_try(std::span<const rt::Request> reqs) {
-  // Poll loop: drain this rank's mailbox (ring arrivals complete posted
-  // receives here, on the owner thread), check the completion flags —
-  // receivers set those of lent sends from their own threads — and pause
-  // when nothing moved. The epoch is observed *before* the check so a
-  // delivery (mutex) or send completion (ring) racing the check cannot be
-  // slept through.
-  Mailbox& mb = mailbox(rank_);
+  // Poll loop: drain every mailbox this rank owns, on any communicator
+  // (ring arrivals complete posted receives here, on the owner thread),
+  // check the completion flags — receivers set those of lent sends from
+  // their own threads — and pause when nothing moved. The epoch is
+  // observed *before* the check so a delivery (mutex) or send completion
+  // (ring) racing the check cannot be slept through. The abort flag is
+  // read before the check too: a peer that completed our request and then
+  // failed is seen complete, not failed.
   int spins = 0;
   for (;;) {
-    const std::uint64_t epoch = mb.epoch();
-    mb.drain();
+    const bool aborting = cluster_->aborted();
+    const std::uint64_t epoch = progress_->epoch();
+    progress_->drain();
     bool all = true;
     for (const rt::Request& r : reqs) {
       if (r.valid() &&
@@ -230,7 +250,10 @@ bool SmpComm::wait_try(std::span<const rt::Request> reqs) {
     if (all) {
       break;
     }
-    mb.idle(epoch, spins);
+    if (aborting) {
+      throw PeerFailure("smp: wait abandoned, another rank has failed");
+    }
+    progress_->idle(epoch, spins);
   }
   bool truncated = false;
   for (const rt::Request& r : reqs) {

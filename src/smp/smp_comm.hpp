@@ -9,9 +9,12 @@
 /// return. A larger one is sent single-copy (rendezvous): isend lends the
 /// buffer and returns a real Request, which completes once the receiver
 /// has copied the bytes straight into its posted receive — the same
-/// semantics as net sends above `A2A_NET_EAGER`. The mutex transport keeps
-/// every send eager. Receives block until a matching message is
-/// delivered. This is the backend a downstream user runs on a single
+/// semantics as net sends above `A2A_NET_EAGER`. Self-sends and the mutex
+/// transport stay eager. Receives block until a matching message is
+/// delivered. A rank's waits make progress on all its communicators at
+/// once (smp::RankProgress), and once any rank of the cluster has failed
+/// (SmpCluster::abort) a wait that cannot complete throws PeerFailure
+/// instead of blocking forever. This is the backend a downstream user runs on a single
 /// many-core box — the actual deployment target of the paper's intra-node
 /// optimizations — and the backend all correctness tests validate
 /// byte-for-byte.
@@ -23,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -32,6 +36,13 @@
 namespace mca2a::smp {
 
 class SmpComm;
+
+/// Thrown by a blocking smp wait that cannot complete because another
+/// rank of the cluster has failed (SmpCluster::abort).
+class PeerFailure : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Shared state: communicator registry and mailboxes.
 class SmpCluster {
@@ -49,6 +60,19 @@ class SmpCluster {
 
   /// World communicator endpoint for `rank` (valid for cluster lifetime).
   rt::Comm& world(int rank);
+
+  /// Any thread: mark the cluster failed and wake every rank. From now
+  /// on a wait that cannot complete throws PeerFailure instead of
+  /// blocking, so a peer's failure cannot hang the survivors (say, a
+  /// sender whose lent payload the failed rank will never copy).
+  void abort();
+  bool aborted() const noexcept {
+    return aborted_.load(std::memory_order_acquire);
+  }
+  /// Between runs, with no rank thread alive: clear a previous abort().
+  void clear_abort() noexcept {
+    aborted_.store(false, std::memory_order_relaxed);
+  }
 
   /// Flight-recorder stream of `world_rank` (wall-clock domain), nullptr
   /// when tracing is off.
@@ -80,6 +104,9 @@ class SmpCluster {
 
   int world_size_;
   MailboxConfig mailbox_cfg_;
+  /// One per world rank; declared before every mailbox that points here.
+  std::deque<RankProgress> progress_;
+  std::atomic<bool> aborted_{false};
   std::mutex registry_mu_;
   std::map<std::pair<std::vector<int>, std::uint32_t>, std::uint32_t>
       registry_;
@@ -101,6 +128,7 @@ class SmpCluster {
 class SmpComm final : public rt::Comm {
  public:
   SmpComm(SmpCluster& cluster, std::uint32_t comm_id, int rank, int size);
+  ~SmpComm() override;
 
   rt::Request isend(rt::ConstView buf, int dst, int tag) override;
   rt::Request irecv(rt::MutView buf, int src, int tag) override;
@@ -144,8 +172,8 @@ class SmpComm final : public rt::Comm {
   /// it — the deque's internal block map may be reallocating. Every
   /// message-path access goes through this pointer instead.
   SmpCluster::CommEntry* entry_;
-  /// Largest payload sent eagerly; larger ones are lent (ring transport).
-  std::size_t eager_max_;
+  /// This rank's progress engine (all its mailboxes, one doorbell).
+  RankProgress* progress_;
   // Request pool: receives and lent sends (eager sends need no slot).
   // deque keeps addresses stable while mailboxes and in-flight lent
   // payloads hold pointers into it.

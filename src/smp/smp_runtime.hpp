@@ -23,7 +23,10 @@ class SmpRuntime {
   rt::Comm& world(int rank) { return cluster_.world(rank); }
 
   /// Launch `rank_main(world(r))` on one thread per rank and join them all.
-  /// Rethrows the first rank exception (by rank order) after joining.
+  /// A rank's exception aborts the cluster (SmpCluster::abort), so peers
+  /// blocked on it throw PeerFailure instead of hanging. After joining,
+  /// rethrows the first rank exception (by rank order) that is not such a
+  /// PeerFailure.
   void run(const std::function<rt::Task<void>(rt::Comm&)>& rank_main);
 
  private:

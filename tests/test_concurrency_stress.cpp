@@ -88,8 +88,9 @@ ScriptRecv aimed_recv(std::mt19937& rng, const ScriptMsg& aim) {
   }
 }
 
-/// Build a deterministic script: ranks 1..ranks-1 each send
-/// `msgs_per_sender` tagged messages to rank 0. Rank 0 first posts up to
+/// Build a deterministic script: ranks first_src..ranks-1 each send
+/// `msgs_per_sender` tagged messages to rank 0 (first_src = 0: rank 0
+/// sends to itself too). Rank 0 first posts up to
 /// `early` receives before any send, then, once the sends quiesced, a
 /// random mix of specific/wildcard receives, each guaranteed completable.
 /// The oracle replays matching over the quiesced arrival order
@@ -97,12 +98,12 @@ ScriptRecv aimed_recv(std::mt19937& rng, const ScriptMsg& aim) {
 /// early receive in posting order, else parks; each later receive takes
 /// the first eligible parked arrival.
 Script make_script(int ranks, int msgs_per_sender, unsigned seed,
-                   int early = 0) {
+                   int early = 0, int first_src = 1) {
   std::mt19937 rng(seed);
   Script s;
   s.sends.resize(static_cast<std::size_t>(ranks));
   std::vector<ScriptMsg> arrivals;  // quiesced arrival order
-  for (int src = 1; src < ranks; ++src) {
+  for (int src = first_src; src < ranks; ++src) {
     for (int i = 0; i < msgs_per_sender; ++i) {
       const ScriptMsg m{src, i, static_cast<int>(rng() % 4)};
       s.sends[static_cast<std::size_t>(src)].push_back(m);
@@ -154,6 +155,7 @@ Script make_script(int ranks, int msgs_per_sender, unsigned seed,
 struct OracleShape {
   int early = 0;            ///< receives rank 0 posts before any send
   std::size_t big_len = 0;  ///< nonzero: odd-index messages take this size
+  bool self = false;        ///< rank 0 sends its own share to itself
 };
 
 /// Size of one scripted message: two words (source, index), or `big_len`
@@ -181,18 +183,19 @@ void expect_msg(const Buffer& b, const OracleShape& shape,
 /// reproduces the oracle's match order exactly.
 void run_oracle_case(int ranks, const smp::MailboxConfig& cfg, unsigned seed,
                      const OracleShape& shape = {}) {
-  const Script script = make_script(ranks, 30, seed, shape.early);
+  const Script script =
+      make_script(ranks, 30, seed, shape.early, shape.self ? 0 : 1);
   const std::size_t stride = std::max<std::size_t>(8, shape.big_len);
   std::barrier<> start(ranks);
   std::barrier<> quiesce(ranks);
   smp::run_threads(ranks, cfg, [&](Comm& c) -> Task<void> {
-    if (c.rank() != 0) {
-      const auto& sends = script.sends[static_cast<std::size_t>(c.rank())];
-      // One buffer region per message: a lent payload stays the sender's
-      // until rank 0 copies it, after the quiesce barrier.
-      Buffer out = Buffer::real(stride * sends.size());
-      std::vector<rt::Request> reqs;
-      start.arrive_and_wait();
+    // One buffer region per message: a lent payload stays the sender's
+    // until rank 0 copies it, after the quiesce barrier. Rank 0's own
+    // messages (shape.self) are self-sends, which stay eager.
+    const auto& sends = script.sends[static_cast<std::size_t>(c.rank())];
+    Buffer out = Buffer::real(stride * sends.size());
+    std::vector<rt::Request> reqs;
+    const auto send_all = [&] {
       for (std::size_t i = 0; i < sends.size(); ++i) {
         const ScriptMsg& m = sends[i];
         const std::size_t len = script_len(shape, m);
@@ -205,6 +208,10 @@ void run_oracle_case(int ranks, const smp::MailboxConfig& cfg, unsigned seed,
         }
         reqs.push_back(c.isend(out.view(i * stride, len), 0, m.tag));
       }
+    };
+    if (c.rank() != 0) {
+      start.arrive_and_wait();
+      send_all();
       quiesce.arrive_and_wait();
       co_await c.wait_all(reqs);
     } else {
@@ -215,6 +222,10 @@ void run_oracle_case(int ranks, const smp::MailboxConfig& cfg, unsigned seed,
         early_reqs.push_back(c.irecv(early_bufs.back().view(), r.src, r.tag));
       }
       start.arrive_and_wait();
+      send_all();
+      for (const rt::Request& r : reqs) {
+        EXPECT_FALSE(r.valid()) << "a self-send must complete at once";
+      }
       quiesce.arrive_and_wait();  // all sends happened-before this point
       Buffer b = Buffer::real(stride);
       // Every receive is posted even after a divergence: a lent send
@@ -297,6 +308,23 @@ TEST(MailboxOrder, OracleMatchOrderMixedEagerAndLent) {
     for (const unsigned seed : {4u, 5u}) {
       run_oracle_case(ranks, cfg, seed,
                       {.early = 5 * (ranks - 1), .big_len = 64});
+    }
+  }
+}
+
+TEST(MailboxOrder, OracleMatchOrderWithEagerSelfSends) {
+  // Rank 0 also floods itself, with odd-index payloads above the inline
+  // budget: such a self-send stays eager, as an owned copy in the
+  // overflow list, and must keep its place among the inline self-sends
+  // (and not write past the slot). Covers the default ring and a
+  // zero-inline ring, where every self-send with bytes takes that path.
+  smp::MailboxConfig tiny;
+  tiny.ring_slots = 2;
+  tiny.ring_inline = 0;
+  for (const smp::MailboxConfig& cfg : {smp::MailboxConfig{}, tiny}) {
+    for (const unsigned seed : {6u, 7u}) {
+      run_oracle_case(4, cfg, seed,
+                      {.early = 10, .big_len = 1024, .self = true});
     }
   }
 }

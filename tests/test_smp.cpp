@@ -8,7 +8,9 @@
 #include <cstring>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -112,6 +114,47 @@ TEST(SmpP2P, LargeSendrecvBothSendFirst) {
     }
   });
   EXPECT_EQ(rndv.value() - before, 2u);  // one lent send per rank
+}
+
+TEST(SmpP2P, LargeSelfSendStaysEager) {
+  // A self-send is never lent: even above ring_inline, a blocking send to
+  // the own rank before its receive completes at once, the buffer is the
+  // sender's again on return, and per-pair order holds against the small
+  // self-sends around it. With ring_inline = 0 every self-send with bytes
+  // is larger than a slot.
+  smp::MailboxConfig zero_inline;
+  zero_inline.ring_inline = 0;
+  const std::pair<smp::MailboxConfig, std::size_t> cases[] = {
+      {smp::MailboxConfig{}, 64 * 1024}, {zero_inline, 1024}};
+  for (const auto& [cfg, len] : cases) {
+    smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
+      const int me = c.rank();
+      Buffer small = Buffer::real(8);
+      Buffer big = Buffer::real(len);
+      Buffer r = Buffer::real(len);
+      for (std::size_t k = 0; k < 8; ++k) {
+        small.data()[k] = test::pattern(me, 0, k);
+      }
+      for (std::size_t k = 0; k < len; ++k) {
+        big.data()[k] = test::pattern(me, 1, k);
+      }
+      co_await c.send(small.view(), me, 0);
+      EXPECT_FALSE(c.isend(big.view(), me, 0).valid());  // complete
+      std::memset(big.data(), 0, len);
+      co_await c.send(small.view(), me, 0);
+      for (int i = 0; i < 3; ++i) {
+        co_await c.recv(r.view(), me, 0);
+        const std::size_t n = i == 1 ? len : 8;
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(r.data()[k], test::pattern(me, i == 1 ? 1 : 0, k))
+              << "message " << i << " byte " << k;
+          if (testing::Test::HasFailure()) {
+            co_return;
+          }
+        }
+      }
+    });
+  }
 }
 
 TEST(SmpP2P, TagAndSourceWildcards) {
@@ -308,6 +351,46 @@ TEST(SmpSubcomm, SplitAndCommunicate) {
   });
 }
 
+TEST(SmpSubcomm, LentSendProgressesAcrossCommunicators) {
+  // MPI-legal order: rank 1 posts a world receive, then blocks on a
+  // subcommunicator receive. Rank 0's blocking 64 KiB world send
+  // completes only once rank 1 copies it, which rank 1 must do while it
+  // waits on the other communicator; only then does rank 0 send on the
+  // subcommunicator. With spin = 0 both ranks park instead of spinning.
+  constexpr std::size_t kLen = 64 * 1024;
+  smp::MailboxConfig parked;
+  parked.spin = 0;
+  for (const smp::MailboxConfig& cfg : {smp::MailboxConfig{}, parked}) {
+    smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
+      const std::vector<int> both{0, 1};
+      auto sub = c.create_subcomm(both);
+      Buffer big = Buffer::real(kLen);
+      Buffer word = Buffer::real(4);
+      if (c.rank() == 0) {
+        for (std::size_t k = 0; k < kLen; ++k) {
+          big.data()[k] = test::pattern(0, 1, k);
+        }
+        // Let rank 1 block on the subcommunicator first.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        co_await c.send(big.view(), 1, 0);
+        word.typed<int>()[0] = 7;
+        co_await sub->send(word.view(), 1, 0);
+      } else {
+        const Request r = c.irecv(big.view(), 0, 0);
+        co_await sub->recv(word.view(), 0, 0);
+        co_await c.wait(r);
+        EXPECT_EQ(word.typed<int>()[0], 7);
+        for (std::size_t k = 0; k < kLen; ++k) {
+          EXPECT_EQ(big.data()[k], test::pattern(0, 1, k)) << "byte " << k;
+          if (testing::Test::HasFailure()) {
+            co_return;
+          }
+        }
+      }
+    });
+  }
+}
+
 TEST(SmpSubcomm, ParentAndChildTrafficDoNotMix) {
   run_smp(2, [](Comm& c) -> Task<void> {
     std::vector<int> both{0, 1};
@@ -365,6 +448,40 @@ TEST(SmpRuntime, ExceptionPropagates) {
         co_return;
       }),
       std::runtime_error);
+}
+
+TEST(SmpRuntime, FailedRankReleasesBlockedPeers) {
+  // Rank 1 fails at once while rank 0 blocks on it: in a 64 KiB (lent)
+  // send that rank 1 will never copy, or in a receive it will never
+  // match. run() must return and rethrow rank 1's error, not rank 0's
+  // PeerFailure echo of it — spinning, parked at once, and on the mutex
+  // transport (whose send is eager and so just completes).
+  smp::MailboxConfig parked;
+  parked.spin = 0;
+  smp::MailboxConfig mutex;
+  mutex.kind = smp::MailboxKind::kMutex;
+  for (const smp::MailboxConfig& cfg : {smp::MailboxConfig{}, parked, mutex}) {
+    for (const bool send_side : {true, false}) {
+      try {
+        smp::run_threads(2, cfg, [&](Comm& c) -> Task<void> {
+          if (c.rank() == 1) {
+            throw std::runtime_error("rank 1 failed");
+          }
+          Buffer big = Buffer::real(64 * 1024);
+          if (send_side) {
+            co_await c.send(big.view(), 1, 0);
+          } else {
+            co_await c.recv(big.view(), 1, 0);
+          }
+        });
+        ADD_FAILURE() << "run_threads returned normally";
+      } catch (const smp::PeerFailure& e) {
+        ADD_FAILURE() << "rethrew the echo: " << e.what();
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "rank 1 failed");
+      }
+    }
+  }
 }
 
 TEST(SmpRuntime, ReusableAcrossRuns) {
